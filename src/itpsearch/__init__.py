@@ -25,7 +25,6 @@ from .search import (
     DEFAULT_KAPPA1,
     DEFAULT_KAPPA2,
     DEFAULT_NMAX_EXTRA,
-    Bracket,
     Local,
     Relaxed,
     SearchConfig,
@@ -40,7 +39,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bracket",
     "Dataset",
     "DEFAULT_CAP",
     "DEFAULT_KAPPA1",

@@ -14,16 +14,7 @@ from typing import Optional, Sequence, Union
 
 from .datasets import Dataset
 from .distributions import DistributionSpec, Uniform, sample_list, sample_target, trial_rng
-from .search import (
-    DEFAULT_CAP,
-    Local,
-    Relaxed,
-    SearchConfig,
-    SortedList,
-    Strategy,
-    Strict,
-    search,
-)
+from .search import DEFAULT_CAP, SearchConfig, SortedList, Strategy, Strict, search
 
 __all__ = [
     "TrialStats",
@@ -75,20 +66,9 @@ class TrialStats:
 
 
 def _labels(config: SearchConfig):
-    if config.strategy is Strategy.BINARY:
-        return "binary", "", None, None
-    if config.strategy is Strategy.INTERPOLATION:
-        return "interpolation", "", None, None
-    variant = config.variant
-    if isinstance(variant, Strict):
-        name = "strict"
-    elif isinstance(variant, Relaxed):
-        name = "relaxed"
-    elif isinstance(variant, Local):
-        name = "local"
-    else:
-        raise TypeError(f"unknown variant {variant!r}")
-    return "itp", name, config.kappa1, config.kappa2
+    if config.strategy is Strategy.ITP:
+        return "itp", config.variant.label, config.kappa1, config.kappa2
+    return config.strategy.value, "", None, None
 
 
 def _fixed_list(source: Source) -> Optional[SortedList]:

@@ -35,6 +35,8 @@ class Dataset:
 
 
 def _finish(name: str, raw: np.ndarray, origin: str, dedup: bool) -> Dataset:
+    if not np.isfinite(raw).all():
+        raise ValueError(f"{name}: keys must be finite (no NaN or inf)")
     if dedup:
         values = np.unique(raw)  # sorts and drops duplicates
     else:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
-from .search import SortedList, minmax_bound
+from .search import ProbeRule, SortedList, minmax_bound
 
 __all__ = [
     "DepthProfile",
@@ -30,9 +29,6 @@ __all__ = [
 
 MINIMAX_DEPTH_BUDGET = 4096
 WORST_DEPTH_BUDGET = 1024
-
-# Probe rule driven by the adversarial enumerator: (a, b, j, va, vb, z) -> k.
-ProbeRule = Callable[[int, int, int, float, float, float], int]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Bracketing search over sorted lists.
+"""Search over sorted lists by shrinking a bracket.
 
 The searcher maintains a bracket a < b with values[a] <= z <= values[b] and
 shrinks it by probing one interior index per iteration until b - a == 1 (or
@@ -11,8 +11,9 @@ an exact hit collapses the bracket).  Three probe rules are provided:
   project it into a minmax-safe interval around the midpoint.  Keeps the
   binary worst-case bound while probing (almost) like interpolation.
 
-Endpoint values are cached in the bracket, so a search is charged one query
-per interior probe only.
+Each rule is defined once, by ``make_probe_fn``; ``search`` and the oracles
+both drive it.  Endpoint values are cached with the bracket, so a search is
+charged one query per interior probe only.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -29,18 +31,15 @@ __all__ = [
     "Relaxed",
     "Local",
     "SortedList",
-    "Bracket",
     "SearchConfig",
     "SearchOutcome",
+    "ProbeRule",
     "minmax_bound",
-    "midpoint",
     "interpolation_point",
     "truncate",
     "minmax_radius",
     "project",
     "round_toward_midpoint",
-    "bracket_update",
-    "probe_index",
     "make_probe_fn",
     "search",
 ]
@@ -49,6 +48,10 @@ DEFAULT_KAPPA1 = 0.01
 DEFAULT_KAPPA2 = 0.83
 DEFAULT_NMAX_EXTRA = 0.99
 DEFAULT_CAP = 1000
+
+# One probe rule: (a, b, j, va, vb, z) -> interior index k, a < k < b, for the
+# bracket (a, b) with end values (va, vb) at iteration j.
+ProbeRule = Callable[[int, int, int, float, float, float], int]
 
 
 class Strategy(Enum):
@@ -61,6 +64,11 @@ class Strategy(Enum):
 class Strict:
     """Minmax radius anchored to ceil(log2 n) of the searched list."""
 
+    label = "strict"
+
+    def n_ref(self, n: int) -> float:
+        return float(minmax_bound(n))
+
 
 @dataclass(frozen=True)
 class Relaxed:
@@ -70,6 +78,7 @@ class Relaxed:
     A non-integer budget is allowed; the worst case is then ceil(n_max).
     """
 
+    label = "relaxed"
     n_max: float | None = None
     extra: float = DEFAULT_NMAX_EXTRA
 
@@ -77,7 +86,7 @@ class Relaxed:
         if self.n_max is None and self.extra < 0:
             raise ValueError(f"extra must be >= 0, got {self.extra}")
 
-    def resolve(self, n: int) -> float:
+    def n_ref(self, n: int) -> float:
         bound = minmax_bound(n)
         n_max = bound + self.extra if self.n_max is None else self.n_max
         if n_max < bound:
@@ -89,12 +98,17 @@ class Relaxed:
 class Local:
     """Minmax radius anchored to ceil(log2 delta) of the current bracket."""
 
+    label = "local"
+
+    def n_ref(self, n: int) -> None:
+        return None
+
 
 Variant = Strict | Relaxed | Local
 
 
 class SortedList:
-    """A non-decreasing key vector of length n + 1, indexed 0..n."""
+    """A non-decreasing vector of finite keys, length n + 1, indexed 0..n."""
 
     __slots__ = ("values", "n")
 
@@ -104,8 +118,11 @@ class SortedList:
             raise ValueError("values must be one-dimensional")
         if arr.size < 2:
             raise ValueError(f"need at least 2 values, got {arr.size}")
-        if validate and np.any(arr[1:] < arr[:-1]):
-            raise ValueError("values must be non-decreasing")
+        if validate:
+            if not np.isfinite(arr).all():
+                raise ValueError("values must be finite (no NaN or inf)")
+            if np.any(arr[1:] < arr[:-1]):
+                raise ValueError("values must be non-decreasing")
         self.values = arr
         self.n = arr.size - 1
 
@@ -117,26 +134,6 @@ class SortedList:
 
     def __repr__(self) -> str:
         return f"SortedList(n={self.n}, range=[{self.values[0]}, {self.values[-1]}])"
-
-
-@dataclass
-class Bracket:
-    """Live state of one search: indices a < b with cached end values.
-
-    ``j`` counts completed iterations.  After an exact hit the bracket is
-    (k, k+1) and ``vb`` keeps the previous cached value; the state is
-    terminal so it is never read again.
-    """
-
-    a: int
-    b: int
-    va: float
-    vb: float
-    j: int = 0
-
-    @property
-    def delta(self) -> int:
-        return self.b - self.a
 
 
 @dataclass(frozen=True)
@@ -199,22 +196,21 @@ def minmax_bound(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def midpoint(bracket: Bracket) -> float:
-    """Exact bracket midpoint (a + b) / 2, before any rounding."""
-    return (bracket.a + bracket.b) / 2
-
-
-def interpolation_point(bracket: Bracket, z: float) -> float:
+def interpolation_point(a: int, b: int, va: float, vb: float, z: float) -> float:
     """Linear interpolation of z between (a, va) and (b, vb).
 
     Falls back to the midpoint when va == vb (flat bracket, e.g. duplicate
-    keys), where the interpolation line is undefined.  The result is clamped
-    into [a, b] to shed float round-off.
+    keys), where the interpolation line is undefined.  When the arithmetic
+    overflows float64 (keys near +-1.7e308, where va - vb can be -inf), the
+    point is recomputed from halved keys, whose differences cannot overflow.
+    The result is clamped into [a, b] to shed float round-off.
     """
-    a, b, va, vb = bracket.a, bracket.b, bracket.va, bracket.vb
     if va == vb:
-        return midpoint(bracket)
-    x = (b * (va - z) - a * (vb - z)) / (va - vb)
+        return (a + b) / 2
+    d = va - vb
+    x = (b * (va - z) - a * (vb - z)) / d
+    if not (math.isfinite(x) and math.isfinite(d)):
+        x = a + (b - a) * ((z / 2 - va / 2) / (vb / 2 - va / 2))
     return min(max(x, a), b)
 
 
@@ -240,19 +236,18 @@ def truncate(
     return x_half, sigma
 
 
-def minmax_radius(j: int, delta: int, variant: Variant, n_ref: float | None = None) -> float:
+def minmax_radius(j: int, delta: int, n_ref: float | None) -> float:
     """Half-width of the probe interval around the midpoint at iteration j.
 
-    Strict and Relaxed budget 2**(n_ref - j - 1) cells per side and subtract
-    the half-bracket; negative values (exhausted budget, float drift) clamp
-    to 0, which forces a plain midpoint step.  Local re-anchors to the
-    current bracket width and is non-negative by construction.
+    ``n_ref`` is the variant's radius anchor (``variant.n_ref(n)``).  Strict
+    and Relaxed budget 2**(n_ref - j - 1) cells per side and subtract the
+    half-bracket; negative values (exhausted budget, float drift) clamp to 0,
+    which forces a plain midpoint step.  Local (``n_ref`` None) re-anchors to
+    the current bracket width and is non-negative by construction.
     """
-    if isinstance(variant, Local):
+    if n_ref is None:
         exp = (delta - 1).bit_length() - 1
         return 2.0**exp - delta / 2
-    if n_ref is None:
-        raise ValueError("strict/relaxed radius requires n_ref")
     r = 2.0 ** (n_ref - j - 1) - delta / 2
     return r if r > 0 else 0.0
 
@@ -285,57 +280,38 @@ def round_toward_midpoint(x: float, x_half: float, a: int, b: int) -> int:
     return k
 
 
-def bracket_update(bracket: Bracket, k: int, v_k: float, z: float) -> Bracket:
-    """Shrink the bracket with the probed pair (k, v_k); exact hits collapse
-    it to (k, k+1)."""
-    if v_k > z:
-        return Bracket(bracket.a, k, bracket.va, v_k, bracket.j + 1)
-    if v_k < z:
-        return Bracket(k, bracket.b, v_k, bracket.vb, bracket.j + 1)
-    return Bracket(k, k + 1, v_k, bracket.vb, bracket.j + 1)
+def make_probe_fn(config: SearchConfig, n: int) -> ProbeRule:
+    """The configured probe rule, bound to a list of size n.
 
-
-def _resolve_n_ref(config: SearchConfig, n: int) -> float | None:
-    if config.strategy is not Strategy.ITP:
-        return None
-    variant = config.variant
-    if isinstance(variant, Strict):
-        return float(minmax_bound(n))
-    if isinstance(variant, Relaxed):
-        return variant.resolve(n)
-    return None  # Local
-
-
-def probe_index(bracket: Bracket, z: float, config: SearchConfig, n_ref: float | None) -> int:
-    """Next index to evaluate, per the configured probe rule.
-
-    ``n_ref`` is the resolved radius anchor for the itp strategy (see
-    ``_resolve_n_ref``); binary and interpolation ignore it.
+    This is the one definition of each rule: ``search`` drives it over a real
+    list, and the oracles drive it over synthetic brackets.  Raises if a
+    Relaxed budget is below the minmax bound for n.
     """
-    x_half = midpoint(bracket)
     if config.strategy is Strategy.BINARY:
-        return round_toward_midpoint(x_half, x_half, bracket.a, bracket.b)
-    x_f = interpolation_point(bracket, z)
+        def binary(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:
+            return (a + b) // 2
+
+        return binary
+
     if config.strategy is Strategy.INTERPOLATION:
-        return round_toward_midpoint(x_f, x_half, bracket.a, bracket.b)
-    x_t, sigma = truncate(x_f, x_half, bracket.delta, config.kappa1, config.kappa2)
-    r = minmax_radius(bracket.j, bracket.delta, config.variant, n_ref)
-    x_itp = project(x_t, x_half, r, sigma)
-    return round_toward_midpoint(x_itp, x_half, bracket.a, bracket.b)
+        def interpolation(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:
+            x_f = interpolation_point(a, b, va, vb, z)
+            return round_toward_midpoint(x_f, (a + b) / 2, a, b)
 
+        return interpolation
 
-def make_probe_fn(config: SearchConfig, n: int):
-    """Bind a probe rule to a problem size: (a, b, j, va, vb, z) -> index.
+    kappa1, kappa2 = config.kappa1, config.kappa2
+    n_ref = config.variant.n_ref(n)
 
-    Used by the exhaustive oracles, which drive probe choices over synthetic
-    brackets instead of a real list.
-    """
-    n_ref = _resolve_n_ref(config, n)
+    def itp(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:
+        x_half = (a + b) / 2
+        delta = b - a
+        x_f = interpolation_point(a, b, va, vb, z)
+        x_t, sigma = truncate(x_f, x_half, delta, kappa1, kappa2)
+        x_itp = project(x_t, x_half, minmax_radius(j, delta, n_ref), sigma)
+        return round_toward_midpoint(x_itp, x_half, a, b)
 
-    def probe(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:
-        return probe_index(Bracket(a, b, va, vb, j), z, config, n_ref)
-
-    return probe
+    return itp
 
 
 def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
@@ -356,18 +332,22 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
         raise ValueError(f"target {z} outside key range [{v0}, {vn}]")
     if z == v0:
         return SearchOutcome(k_star=0, queries=0, trace=())
-    n_ref = _resolve_n_ref(config, n)
-    bracket = Bracket(0, n, v0, vn)
+    probe = make_probe_fn(config, n)
+    a, b, va, vb = 0, n, v0, vn
     trace: list[int] = []
     capped = False
-    while bracket.delta > 1:
-        if len(trace) >= config.cap:
+    while b - a > 1:
+        j = len(trace)
+        if j >= config.cap:
             capped = True
             break
-        k = probe_index(bracket, z, config, n_ref)
+        k = probe(a, b, j, va, vb, z)
         v_k = float(v[k])
         trace.append(k)
-        bracket = bracket_update(bracket, k, v_k, z)
-    return SearchOutcome(
-        k_star=bracket.a, queries=len(trace), trace=tuple(trace), capped=capped
-    )
+        if v_k > z:
+            b, vb = k, v_k
+        elif v_k < z:
+            a, va = k, v_k
+        else:  # exact hit: the cell (k, k+1) holds z
+            a, b = k, k + 1
+    return SearchOutcome(k_star=a, queries=len(trace), trace=tuple(trace), capped=capped)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from itpsearch.cli import main
 from itpsearch.datasets import MAX_FIBONACCI_N, Dataset, generate, load_numeric, load_text
 from itpsearch.keycodec import encode_base27
 
@@ -53,7 +54,7 @@ def test_load_numeric_csv_column(tmp_path):
         load_numeric(path, column=0)
 
 
-def test_load_numeric_errors(tmp_path):
+def test_load_numeric_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nnope\n3\n")
     with pytest.raises(ValueError, match=r"bad.txt:2: not a number: 'nope'"):
@@ -66,6 +67,17 @@ def test_load_numeric_errors(tmp_path):
     single.write_text("5\n")
     with pytest.raises(ValueError, match="at least 2"):
         load_numeric(single)
+    # float() parses these rows, but no strategy can search such keys
+    odd = tmp_path / "odd.txt"
+    for row in ("inf", "-inf", "nan"):
+        odd.write_text(f"1\n{row}\n3\n")
+        with pytest.raises(ValueError, match="odd: keys must be finite"):
+            load_numeric(odd)
+    odd.write_text("a,1\nb,inf\nc,3\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_numeric(odd, column=2)
+    assert main(["bench-file", "--input", str(odd), "--column", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_load_text_sorts_and_dedups(tmp_path):

@@ -10,19 +10,16 @@ from hypothesis import strategies as st
 
 from itpsearch.oracle import linear_scan
 from itpsearch.search import (
-    Bracket,
     Local,
     Relaxed,
     SearchConfig,
     SortedList,
     Strategy,
     Strict,
-    bracket_update,
     interpolation_point,
-    midpoint,
+    make_probe_fn,
     minmax_bound,
     minmax_radius,
-    probe_index,
     project,
     round_toward_midpoint,
     search,
@@ -30,6 +27,17 @@ from itpsearch.search import (
 )
 
 RAMP_1024 = SortedList(np.arange(1025) / 1024, validate=False)
+HUGE = 1.7e308
+
+
+def _shrink(a, b, k, lst, z):
+    """The bracket left after probing k, by the update rule search applies."""
+    v_k = lst[k]
+    if v_k > z:
+        return a, k
+    if v_k < z:
+        return k, b
+    return k, k + 1
 
 
 def test_minmax_bound_examples():
@@ -42,16 +50,21 @@ def test_minmax_bound_examples():
 
 
 def test_midpoint_examples():
-    assert midpoint(Bracket(0, 16, 0.0, 1.0)) == 8.0
-    assert midpoint(Bracket(3, 4, 0.3, 0.4)) == 3.5
-    assert midpoint(Bracket(0, 17, 0.0, 1.0)) == 8.5
+    # a flat bracket (va == vb) has no interpolation line: the exact midpoint
+    assert interpolation_point(0, 16, 1.0, 1.0, 1.0) == 8.0
+    assert interpolation_point(3, 4, 0.3, 0.3, 0.3) == 3.5
+    assert interpolation_point(0, 17, 0.0, 0.0, 0.0) == 8.5
+    assert interpolation_point(4, 9, 0.5, 0.5, 0.5) == 6.5
 
 
 def test_interpolation_point_examples():
-    assert interpolation_point(Bracket(0, 10, 0.0, 1.0), 0.3) == 3.0
-    assert interpolation_point(Bracket(2, 6, 0.2, 0.6), 0.5) == pytest.approx(5.0)
-    # degenerate flat bracket falls back to the midpoint
-    assert interpolation_point(Bracket(4, 9, 0.5, 0.5), 0.5) == 6.5
+    assert interpolation_point(0, 10, 0.0, 1.0, 0.3) == 3.0
+    assert interpolation_point(2, 6, 0.2, 0.6, 0.5) == pytest.approx(5.0)
+    # the key span overflows float64 (va - vb == -inf): halved keys are used
+    assert interpolation_point(0, 4, -HUGE, HUGE, 0.0) == 2.0
+    assert interpolation_point(0, 4, -HUGE, HUGE, 1.5e308) == pytest.approx(4 * 1.6 / 1.7)
+    # a finite span whose numerator overflows takes the same path
+    assert interpolation_point(2, 4, 0.0, HUGE, 1.5e308) == pytest.approx(2 + 2 * 1.5 / 1.7)
 
 
 def test_truncate_examples():
@@ -73,18 +86,18 @@ def test_truncate_examples():
 
 def test_minmax_radius_examples():
     # n=17: budget 2^4 cells per side minus half of a 17-wide bracket
-    assert minmax_radius(0, 17, Strict(), n_ref=5.0) == 7.5
+    assert Strict().n_ref(17) == 5.0
+    assert minmax_radius(0, 17, Strict().n_ref(17)) == 7.5
     # power-of-two n: zero slack at every level
-    assert minmax_radius(0, 16, Strict(), n_ref=4.0) == 0.0
+    assert minmax_radius(0, 16, Strict().n_ref(16)) == 0.0
     # one extra relaxed iteration opens the whole bracket
-    assert minmax_radius(0, 16, Relaxed(n_max=5), n_ref=5.0) == 8.0
-    # local rule with delta an exact power of two
-    assert minmax_radius(3, 16, Local()) == 0.0
-    assert minmax_radius(0, 17, Local()) == 7.5
+    assert minmax_radius(0, 16, Relaxed(n_max=5).n_ref(16)) == 8.0
+    # local rule (no anchor) with delta an exact power of two
+    assert Local().n_ref(16) is None
+    assert minmax_radius(3, 16, None) == 0.0
+    assert minmax_radius(0, 17, None) == 7.5
     # exhausted budget clamps instead of going negative
-    assert minmax_radius(10, 8, Strict(), n_ref=3.0) == 0.0
-    with pytest.raises(ValueError):
-        minmax_radius(0, 16, Strict(), n_ref=None)
+    assert minmax_radius(10, 8, 3.0) == 0.0
 
 
 def test_project_examples():
@@ -106,15 +119,18 @@ def test_round_toward_midpoint_examples():
     assert round_toward_midpoint(0.0, 8.0, 0, 16) == 1
 
 
-def test_bracket_update_examples():
-    start = Bracket(0, 10, 0.0, 1.0)
-    low = bracket_update(start, 4, 0.2, 0.5)
-    assert (low.a, low.b, low.va, low.j) == (4, 10, 0.2, 1)
-    high = bracket_update(start, 4, 0.7, 0.5)
-    assert (high.a, high.b, high.vb, high.j) == (0, 4, 0.7, 1)
-    hit = bracket_update(start, 4, 0.5, 0.5)
-    assert (hit.a, hit.b) == (4, 5)
-    assert hit.delta == 1
+def test_bracket_shrink_examples():
+    lst = SortedList(np.arange(11) / 10)
+    assert _shrink(0, 10, 4, lst, 0.5) == (4, 10)  # v_k < z raises a
+    assert _shrink(0, 10, 7, lst, 0.5) == (0, 7)  # v_k > z lowers b
+    assert _shrink(0, 10, 5, lst, 0.5) == (5, 6)  # an exact hit collapses
+    # binary probes (a + b) // 2, so its trace shows search's own updates:
+    # 0.5 < 0.75 raises a to 5, 0.7 < 0.75 raises a to 7, 0.8 > 0.75 lowers b
+    out = search(lst, 0.75, SearchConfig.binary())
+    assert (out.trace, out.k_star) == ((5, 7, 8), 7)
+    # probing a key equal to z ends the search in the cell (k, k+1)
+    out = search(lst, 0.5, SearchConfig.binary())
+    assert (out.trace, out.k_star) == ((5,), 5)
 
 
 def test_sorted_list_validation():
@@ -124,6 +140,10 @@ def test_sorted_list_validation():
         SortedList([[0.0, 1.0]])
     with pytest.raises(ValueError):
         SortedList([0.0, 2.0, 1.0])
+    # non-finite keys defeat the order check and the interpolation arithmetic
+    for bad in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="finite"):
+            SortedList(bad)
     lst = SortedList([0.0, 1.0, 1.0, 2.0])  # non-decreasing is allowed
     assert lst.n == 3
     assert len(lst) == 4
@@ -143,9 +163,10 @@ def test_search_config_validation():
         Relaxed(extra=-0.1)
     # a fixed budget below the minmax bound is rejected at resolution time
     with pytest.raises(ValueError):
-        Relaxed(n_max=4).resolve(100)
-    assert Relaxed(n_max=7).resolve(100) == 7.0
-    assert Relaxed(extra=0.99).resolve(100) == 7.99
+        Relaxed(n_max=4).n_ref(100)
+    assert Relaxed(n_max=7).n_ref(100) == 7.0
+    assert Relaxed(extra=0.99).n_ref(100) == 7.99
+    assert (Strict().label, Relaxed().label, Local().label) == ("strict", "relaxed", "local")
 
 
 def test_search_single_interior_probe():
@@ -317,31 +338,28 @@ def test_bracket_evolution_invariants(case, config):
     """Replay the trace: probes interior, bracket shrinking, va <= z < vb."""
     lst, z, _ = case
     out = search(lst, z, config)
-    bracket = Bracket(0, lst.n, lst[0], lst[lst.n])
+    a, b = 0, lst.n
     for k in out.trace:
-        assert bracket.a < k < bracket.b
-        assert bracket.va <= z < bracket.vb
-        nxt = bracket_update(bracket, k, lst[k], z)
-        assert nxt.delta < bracket.delta
-        bracket = nxt
-    assert bracket.delta == 1
-    assert bracket.a == out.k_star
+        assert a < k < b
+        assert lst[a] <= z < lst[b]
+        a_next, b_next = _shrink(a, b, k, lst, z)
+        assert b_next - a_next < b - a
+        a, b = a_next, b_next
+    assert b - a == 1
+    assert a == out.k_star
 
 
-def _containment_radius(config, n, bracket):
+def _containment_radius(variant, n, j, delta):
     """Radius the probe must respect at this bracket, per variant.
 
     Strict, Local and integer-budget Relaxed guarantee an in-interval integer
     exactly.  A fractional relaxed budget can leave the interval between grid
     points, but never beyond the rounded-up budget's interval.
     """
-    variant = config.variant
-    if isinstance(variant, Local):
-        return minmax_radius(bracket.j, bracket.delta, variant)
-    n_ref = float(minmax_bound(n)) if isinstance(variant, Strict) else variant.resolve(n)
-    if n_ref != int(n_ref):
+    n_ref = variant.n_ref(n)
+    if n_ref is not None and n_ref != int(n_ref):
         n_ref = math.ceil(n_ref)
-    return minmax_radius(bracket.j, bracket.delta, variant, n_ref=n_ref)
+    return minmax_radius(j, delta, n_ref)
 
 
 @given(
@@ -359,11 +377,11 @@ def test_itp_probe_containment(case, variant, kappa1, kappa2):
     lst, z, _ = case
     config = SearchConfig.itp(variant, kappa1=kappa1, kappa2=kappa2)
     out = search(lst, z, config)
-    bracket = Bracket(0, lst.n, lst[0], lst[lst.n])
-    for k in out.trace:
-        r = _containment_radius(config, lst.n, bracket)
-        assert abs(k - midpoint(bracket)) <= r + 1e-9
-        bracket = bracket_update(bracket, k, lst[k], z)
+    a, b = 0, lst.n
+    for j, k in enumerate(out.trace):
+        r = _containment_radius(variant, lst.n, j, b - a)
+        assert abs(k - (a + b) / 2) <= r + 1e-9
+        a, b = _shrink(a, b, k, lst, z)
 
 
 @given(case=_list_and_target())
@@ -388,15 +406,55 @@ def test_equality_target_collapses(case):
     z_frac=st.floats(0.01, 0.99),
     config=_configs,
 )
-def test_probe_index_interior(a, width, z_frac, config):
+def test_probe_rule_interior(a, width, z_frac, config):
     b = a + width
     va, vb = float(a), float(b)
     z = va + z_frac * (vb - va)
-    n_ref = None
-    if config.strategy is Strategy.ITP and not isinstance(config.variant, Local):
-        if isinstance(config.variant, Strict):
-            n_ref = float(minmax_bound(width))
-        else:
-            n_ref = config.variant.resolve(width)
-    k = probe_index(Bracket(a, b, va, vb), z, config, n_ref)
+    k = make_probe_fn(config, width)(a, b, 0, va, vb, z)
     assert a < k < b
+
+
+@st.composite
+def _adversarial_case(draw):
+    """Sorted keys that stress the rules' arithmetic, and a target in range.
+
+    Integer grids with zero steps give plateaus and all-equal runs, a scale
+    of 5e-324 makes every step subnormal, and floats drawn up to +-1.7e308
+    give key spans that overflow float64 differences.  The target is a key
+    (possibly a duplicated one) or any float in the key range.
+    """
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+        scale = draw(st.sampled_from((5e-324, 1.0, 1e300)))
+        base = draw(st.sampled_from((0.0, -1.0, 1e308, -HUGE)))
+        values = [base + scale * i for i in itertools.accumulate(steps, initial=0)]
+    else:
+        values = draw(st.lists(st.floats(-HUGE, HUGE), min_size=2, max_size=40))
+        if draw(st.booleans()):
+            values += [-HUGE, HUGE]
+        values = sorted(v + 0.0 for v in values)  # -0.0 + 0.0 is 0.0
+    z = draw(st.one_of(st.sampled_from(values), st.floats(values[0], values[-1])))
+    return values, z
+
+
+@given(case=_adversarial_case(), config=_configs)
+@example(
+    case=([-HUGE, -1e308, 0.0, 1e308, HUGE], 1.5e308),
+    config=SearchConfig.interpolation(),
+)
+@settings(max_examples=500)
+def test_search_matches_linear_scan_adversarial(case, config):
+    values, z = case
+    lst = SortedList(values)
+    out = search(lst, z, config)
+    assert not out.capped
+    if values.count(z) > 1:
+        # a duplicated key only promises the weak contract
+        assert lst[out.k_star] <= z <= lst[out.k_star + 1]
+    else:
+        # z == values[n] settles on the last cell, n - 1
+        assert out.k_star == min(linear_scan(lst, z), lst.n - 1)
+    if config.strategy is Strategy.ITP:
+        n_ref = config.variant.n_ref(lst.n)
+        if n_ref is not None:
+            assert out.queries <= math.ceil(n_ref)
