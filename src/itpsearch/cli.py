@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import bench, datasets, oracle
 from .distributions import (
     Exponential,
@@ -21,7 +23,6 @@ from .distributions import (
     as_rng,
     sample_list,
     sample_target,
-    trial_rng,
 )
 from .keycodec import MAX_DIGITS, encode_base27, normalize
 from .search import (
@@ -103,17 +104,15 @@ def _add_variant_flags(parser) -> None:
 
 
 # ---------------------------------------------------------------------------
-# verify: desk-scale invariant and oracle suites
+# verify and oracle-check: each check returns None or its first problem.
+# tests/test_acceptance.py runs the same checks at larger sizes.
 
 
-def _quadratic_list(n: int) -> SortedList:
-    return SortedList([(i / n) ** 2 for i in range(n + 1)], validate=False)
-
-
-def _check_minmax_exhaustive(max_n: int):
+def check_minmax_exhaustive(max_n: int):
+    """ITP-Strict and binary stay within ceil(log2 n) on every cell and key, n=2..max_n."""
     configs = (SearchConfig.itp(variant=Strict()), SearchConfig.binary())
     for n in range(2, max_n + 1):
-        lst = _quadratic_list(n)
+        lst = SortedList([(i / n) ** 2 for i in range(n + 1)], validate=False)
         bound = minmax_bound(n)
         targets = [(lst[k] + lst[k + 1]) / 2 for k in range(n)]
         targets += [lst[k] for k in range(1, n)]
@@ -125,14 +124,16 @@ def _check_minmax_exhaustive(max_n: int):
     return None
 
 
-def _check_minimax_oracle(max_n: int):
+def check_minimax_oracle(max_n: int):
+    """The exhaustive minimax depth equals ceil(log2 n), n=2..max_n."""
     for n in range(2, max_n + 1):
         if oracle.minimax_depth(n) != minmax_bound(n):
             return f"minimax_depth({n}) = {oracle.minimax_depth(n)} != {minmax_bound(n)}"
     return None
 
 
-def _check_worst_depth(max_n: int):
+def check_worst_depth(max_n: int):
+    """The adversary forces ITP-Strict no deeper than ceil(log2 n), n=2..max_n."""
     config = SearchConfig.itp(variant=Strict())
     for n in range(2, max_n + 1):
         depth = oracle.strategy_worst_depth(make_probe_fn(config, n), n)
@@ -144,7 +145,19 @@ def _check_worst_depth(max_n: int):
     return None
 
 
-def _check_equivalence(trials: int, seed: int):
+def check_binary_depth_band(max_n: int):
+    """Binary's mean hit depth is >= ceil(log2 n) - 2; its closed form is also <= ceil(log2 n)."""
+    for n in range(2, max_n + 1):
+        half = minmax_bound(n)
+        profile = oracle.binary_equality_profile(n)
+        closed = oracle.average_depth_c2(n)
+        if profile.avg_depth < half - 2 or not (half - 2 <= closed <= half):
+            return f"n={n}: equality avg {float(profile.avg_depth):.4f}, closed form {closed:.4f}"
+    return None
+
+
+def check_equivalence(trials: int, seed: int):
+    """Every strategy finds the linear-scan cell on `trials` random lists of n=2..512."""
     specs = (Uniform(), Gaussian(), Exponential(), Triangular(), Step())
     configs = (
         SearchConfig.binary(),
@@ -164,36 +177,24 @@ def _check_equivalence(trials: int, seed: int):
     return None
 
 
-def _check_codec(pairs: int, seed: int):
+def check_codec(pairs: int, seed: int):
+    """The base-27 codes of `pairs` random strings order like their normalized keys."""
     rng = as_rng(seed)
-    alphabet = "abcdefghijklmnopqrstuvwxyzABCXYZ -'.,0123456789"
-    def draw():
-        length = int(rng.integers(0, 15))
-        picks = rng.integers(0, len(alphabet), size=length)
-        return "".join(alphabet[i] for i in picks)
-    for _ in range(pairs):
-        s, t = draw(), draw()
+    alphabet = "abcdefghijklmnopqrstuvwxyzABCDWXYZ .',-!;*0123456789"
+    lengths = rng.integers(0, 15, size=2 * pairs)
+    chars = rng.integers(0, len(alphabet), size=int(lengths.sum()))
+    words = np.split(chars, lengths.cumsum()[:-1])
+    strings = ["".join(alphabet[c] for c in word) for word in words]
+    for s, t in zip(strings[::2], strings[1::2]):
         ks, kt = normalize(s)[:MAX_DIGITS], normalize(t)[:MAX_DIGITS]
         es, et = encode_base27(s), encode_base27(t)
-        if (ks < kt and not es < et) or (ks == kt and es != et) or (ks > kt and not es > et):
+        if (ks < kt) != (es < et) or (ks == kt) != (es == et):
             return f"order broken for {s!r} vs {t!r}"
     return None
 
 
-def _cmd_verify(args) -> int:
-    checks = [
-        (
-            f"minmax bound exhaustive, n=2..{args.max_n}",
-            lambda: _check_minmax_exhaustive(args.max_n),
-        ),
-        ("minimax oracle equals ceil(log2 n), n=2..512", lambda: _check_minimax_oracle(512)),
-        ("ITP-Strict adversarial depth <= bound, n=2..256", lambda: _check_worst_depth(256)),
-        (
-            f"strategies agree with linear scan, {args.trials} random instances",
-            lambda: _check_equivalence(args.trials, args.seed),
-        ),
-        ("base-27 codec preserves key order, 5000 pairs", lambda: _check_codec(5000, args.seed)),
-    ]
+def _run_checks(checks) -> int:
+    """Print PASS or FAIL (with the first problem) per (name, thunk); 1 if any failed."""
     failed = 0
     for name, run in checks:
         problem = run()
@@ -205,38 +206,34 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _cmd_verify(args) -> int:
+    return _run_checks([
+        (
+            f"minmax bound exhaustive, n=2..{args.max_n}",
+            lambda: check_minmax_exhaustive(args.max_n),
+        ),
+        ("minimax oracle equals ceil(log2 n), n=2..512", lambda: check_minimax_oracle(512)),
+        ("ITP-Strict adversarial depth <= bound, n=2..256", lambda: check_worst_depth(256)),
+        (
+            f"strategies agree with linear scan, {args.trials} random instances",
+            lambda: check_equivalence(args.trials, args.seed),
+        ),
+        ("base-27 codec preserves key order, 5000 pairs", lambda: check_codec(5000, args.seed)),
+    ])
+
+
 def _cmd_oracle_check(args) -> int:
-    failed = 0
-
-    problem = _check_minimax_oracle(args.max_n)
-    if problem is None:
-        print(f"PASS minimax_depth equals ceil(log2 n), n=2..{args.max_n}")
-    else:
-        print(f"FAIL minimax oracle: {problem}")
-        failed += 1
-
-    problem = _check_worst_depth(128)
-    if problem is None:
-        print("PASS adversarial depth enumeration, n=2..128")
-    else:
-        print(f"FAIL adversarial depth: {problem}")
-        failed += 1
-
-    bad = None
-    for n in range(2, 257):
-        half = minmax_bound(n)
-        profile = oracle.binary_equality_profile(n)
-        closed = oracle.average_depth_c2(n)
-        if profile.avg_depth < half - 2 or not (half - 2 <= closed <= half):
-            bad = f"n={n}: equality avg {float(profile.avg_depth):.4f}, closed form {closed:.4f}"
-            break
-    if bad is None:
-        print("PASS binary average depth within lower-bound band, n=2..256")
-    else:
-        print(f"FAIL binary average depth: {bad}")
-        failed += 1
-
-    return 1 if failed else 0
+    return _run_checks([
+        (
+            f"minimax_depth equals ceil(log2 n), n=2..{args.max_n}",
+            lambda: check_minimax_oracle(args.max_n),
+        ),
+        ("adversarial depth enumeration, n=2..128", lambda: check_worst_depth(128)),
+        (
+            "binary average depth within lower-bound band, n=2..256",
+            lambda: check_binary_depth_band(256),
+        ),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,11 @@ Variant = Strict | Relaxed | Local
 
 
 class SortedList:
-    """A non-decreasing vector of finite keys, length n + 1, indexed 0..n."""
+    """A non-decreasing vector of finite keys, length n + 1, indexed 0..n.
+
+    ``validate`` rejects NaN, infinities, decreasing keys and integer keys
+    that float64 cannot hold exactly (such as 2**53 + 1).
+    """
 
     __slots__ = ("values", "n")
 
@@ -123,6 +127,13 @@ class SortedList:
                 raise ValueError("values must be finite (no NaN or inf)")
             if np.any(arr[1:] < arr[:-1]):
                 raise ValueError("values must be non-decreasing")
+            # an integer key of magnitude >= 2**53 may have rounded to a neighbour
+            big = np.abs(arr) >= 2.0**53
+            if big.any():
+                keys = np.asarray(values, dtype=object)[big]
+                for key, cast in zip(keys, arr[big].tolist()):
+                    if isinstance(key, (int, np.integer)) and int(key) != int(cast):
+                        raise ValueError(f"integer key {int(key)} is not exact in float64")
         self.values = arr
         self.n = arr.size - 1
 

@@ -1,9 +1,12 @@
 """End-to-end acceptance checks for the library's headline guarantees.
 
-One test per guarantee, each printing a single PASS/FAIL line with the
-measured numbers (visible with `pytest -v -s`, or on failure).  Tolerances
-on published average-case figures are wide enough to absorb rounding-rule
-and z-stream differences; the worst-case bounds are exact.
+One test per guarantee, each printing PASS/FAIL lines with the measured
+numbers or the first problem found (visible with `pytest -v -s`, or on
+failure).  Tolerances on published average-case figures are wide enough to
+absorb rounding-rule and z-stream differences; the worst-case bounds are
+exact.  Tests 01, 07, 08 and 10 call the checks behind `itpsearch verify`
+(``itpsearch.cli.check_*``) at larger sizes, so each check has one
+implementation.
 """
 
 import io
@@ -13,6 +16,13 @@ import time
 import numpy as np
 
 from itpsearch.bench import TABLE1_KAPPA1, TABLE1_KAPPA2, run_trials, sweep_kappa, write_csv
+from itpsearch.cli import (
+    check_codec,
+    check_equivalence,
+    check_minimax_oracle,
+    check_minmax_exhaustive,
+    check_worst_depth,
+)
 from itpsearch.datasets import generate
 from itpsearch.distributions import (
     Exponential,
@@ -25,17 +35,7 @@ from itpsearch.distributions import (
     sample_target,
     trial_rng,
 )
-from itpsearch.keycodec import MAX_DIGITS, encode_base27, normalize
-from itpsearch.oracle import linear_scan, minimax_depth, strategy_worst_depth
-from itpsearch.search import (
-    Relaxed,
-    SearchConfig,
-    SortedList,
-    Strict,
-    make_probe_fn,
-    minmax_bound,
-    search,
-)
+from itpsearch.search import Relaxed, SearchConfig, SortedList, Strict, minmax_bound, search
 
 SEED = 20260814
 
@@ -45,23 +45,19 @@ def report(ok, label, detail):
     assert ok, f"{label}: {detail}"
 
 
+def report_check(label, problem, detail):
+    """Report a check from itpsearch.cli: its first problem, or detail if none."""
+    report(problem is None, label, problem or detail)
+
+
 def test_01_minmax_bound_strict():
     """ITP-Strict never exceeds ceil(log2 n): exhaustively small, randomized large."""
     t0 = time.time()
+    report_check("01 minmax bound, exhaustive n=2..256", check_minmax_exhaustive(256), "ok")
+
     config = SearchConfig.itp(Strict())
     violations = 0
     checked = 0
-
-    for n in range(2, 257):
-        lst = SortedList([(i / n) ** 2 for i in range(n + 1)], validate=False)
-        bound = minmax_bound(n)
-        targets = [(lst[k] + lst[k + 1]) / 2 for k in range(n)]
-        targets += [lst[k] for k in range(1, n)]
-        for z in targets:
-            checked += 1
-            if search(lst, z, config).queries > bound:
-                violations += 1
-
     for n, lists, draws in ((1_000, 10_000, 1), (100_000, 10_000, 1), (2**20, 250, 40)):
         bound = minmax_bound(n)
         for i in range(lists):
@@ -75,7 +71,7 @@ def test_01_minmax_bound_strict():
 
     report(
         violations == 0,
-        "01 minmax bound",
+        "01 minmax bound, randomized",
         f"{checked} searches, {violations} violations, {time.time() - t0:.1f}s",
     )
 
@@ -200,43 +196,20 @@ def test_06_binary_lower_bounds():
 def test_07_oracle_equivalence():
     """All three strategies return the linear-scan answer on 1e5 random instances."""
     t0 = time.time()
-    specs = (Uniform(), Gaussian(), Exponential(), Triangular(), Step())
-    configs = (
-        SearchConfig.binary(),
-        SearchConfig.interpolation(),
-        SearchConfig.itp(Relaxed()),
-    )
-    rng = as_rng(SEED + 8)
-    sizes = rng.integers(2, 513, size=100_000)
-    mismatches = 0
-    for t in range(100_000):
-        n = int(sizes[t])
-        lst = sample_list(specs[t % 5], n, rng)
-        z = sample_target(0.0, 1.0, rng)
-        expected = linear_scan(lst, z)
-        for config in configs:
-            if search(lst, z, config).k_star != expected:
-                mismatches += 1
-    report(
-        mismatches == 0,
+    report_check(
         "07 oracle equivalence",
-        f"100000 instances x 3 strategies, {mismatches} mismatches, {time.time() - t0:.1f}s",
+        check_equivalence(100_000, SEED + 8),
+        f"100000 instances x 3 strategies, {time.time() - t0:.1f}s",
     )
 
 
 def test_08_minimax_oracles():
     """Exhaustive trees: optimal depth is ceil(log2 n); ITP-Strict achieves it."""
     t0 = time.time()
-    bad_depth = sum(1 for n in range(2, 4097) if minimax_depth(n) != minmax_bound(n))
-    bad_worst = 0
-    for n in range(2, 1025):
-        rule = make_probe_fn(SearchConfig.itp(Strict()), n)
-        if strategy_worst_depth(rule, n) > minmax_bound(n):
-            bad_worst += 1
-    report(
-        bad_depth == 0 and bad_worst == 0,
-        "08 minimax oracles",
-        f"depth mismatches {bad_depth}/4095, adversarial violations {bad_worst}/1023, "
+    report_check("08 minimax depth, n=2..4096", check_minimax_oracle(4096), "ok")
+    report_check(
+        "08 adversarial depth, n=2..1024",
+        check_worst_depth(1024),
         f"{time.time() - t0:.1f}s",
     )
 
@@ -271,25 +244,7 @@ def test_09_self_generated_lists():
 
 def test_10_codec_order():
     """Base-27 encoding orders 1e5 random string pairs like their normalized keys."""
-    rng = as_rng(SEED + 10)
-    alphabet = "abcdefghijklmnopqrstuvwxyzABCDWXYZ .',-!;*0123456789"
-    lengths = rng.integers(0, 15, size=200_000)
-    chars = rng.integers(0, len(alphabet), size=int(lengths.sum()))
-    strings = []
-    pos = 0
-    for length in lengths:
-        strings.append("".join(alphabet[c] for c in chars[pos : pos + length]))
-        pos += length
-
-    violations = 0
-    for i in range(100_000):
-        s, t = strings[2 * i], strings[2 * i + 1]
-        ks = normalize(s)[:MAX_DIGITS]
-        kt = normalize(t)[:MAX_DIGITS]
-        es, et = encode_base27(s), encode_base27(t)
-        if (ks < kt) != (es < et) or (ks == kt) != (es == et):
-            violations += 1
-    report(violations == 0, "10 codec order", f"100000 pairs, {violations} violations")
+    report_check("10 codec order", check_codec(100_000, SEED + 10), "100000 pairs")
 
 
 def test_11_csv_determinism():

@@ -1,10 +1,11 @@
 """Command-line front end: verbs, flags, defaults, and output files."""
 
 import csv
+import dataclasses
 
 import pytest
 
-from itpsearch import bench
+from itpsearch import bench, cli, oracle
 from itpsearch.cli import _build_parser, main
 from itpsearch.datasets import generate, load_numeric
 from itpsearch.search import SearchConfig, Relaxed
@@ -17,15 +18,46 @@ def read_csv(path):
 
 def test_verify_passes(capsys):
     assert main(["verify", "--max-n", "24", "--trials", "60"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS minmax bound exhaustive, n=2..24",
+        "PASS minimax oracle equals ceil(log2 n), n=2..512",
+        "PASS ITP-Strict adversarial depth <= bound, n=2..256",
+        "PASS strategies agree with linear scan, 60 random instances",
+        "PASS base-27 codec preserves key order, 5000 pairs",
+    ]
 
 
 def test_oracle_check_passes(capsys):
     assert main(["oracle-check", "--max-n", "64"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS minimax_depth equals ceil(log2 n), n=2..64",
+        "PASS adversarial depth enumeration, n=2..128",
+        "PASS binary average depth within lower-bound band, n=2..256",
+    ]
+
+
+def test_verify_fails_through_cli_search(monkeypatch, capsys):
+    # the checks must search through itpsearch.cli.search, and report its faults
+    real = cli.search
+
+    def off_by_one(lst, z, config):
+        out = real(lst, z, config)
+        return dataclasses.replace(out, k_star=out.k_star + 1)
+
+    monkeypatch.setattr(cli, "search", off_by_one)
+    assert main(["verify", "--max-n", "8", "--trials", "20"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].startswith("FAIL strategies agree with linear scan, 20 random instances: ")
+    assert [line[:4] for line in lines] == ["PASS", "PASS", "PASS", "FAIL", "PASS"]
+
+
+def test_oracle_check_fails_through_oracle(monkeypatch, capsys):
+    real = oracle.minimax_depth
+    monkeypatch.setattr(oracle, "minimax_depth", lambda n: real(n) + (n == 40))
+    assert main(["oracle-check", "--max-n", "64"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "FAIL minimax_depth equals ceil(log2 n), n=2..64: minimax_depth(40) = 7 != 6"
+    )
 
 
 def test_sweep_kappa_csv(tmp_path):

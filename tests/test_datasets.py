@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from itpsearch.cli import main
-from itpsearch.datasets import MAX_FIBONACCI_N, Dataset, generate, load_numeric, load_text
+from itpsearch.datasets import MAX_FIBONACCI_N, generate, load_numeric, load_text
 from itpsearch.keycodec import encode_base27
 
 
@@ -31,6 +31,11 @@ def test_load_numeric_dedup(tmp_path):
     kept = load_numeric(path, dedup=False)
     assert kept.list.values.tolist() == [1.0, 1.0, 2.0]
     assert kept.dedup_count == 0
+    # float() parsing merges integers that float64 cannot tell apart
+    path.write_text("0\n9007199254740992\n9007199254740993\n")
+    ds = load_numeric(path)
+    assert ds.list.values.tolist() == [0.0, 2.0**53]
+    assert ds.dedup_count == 1
 
 
 def test_load_numeric_blank_lines_and_floats(tmp_path):

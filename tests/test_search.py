@@ -144,6 +144,14 @@ def test_sorted_list_validation():
     for bad in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]):
         with pytest.raises(ValueError, match="finite"):
             SortedList(bad)
+    # integers above 2**53 would collapse onto float64 neighbours
+    below = np.array([-(2**53) - 1, 0], dtype=np.int64)
+    for bad in ([0, 2**53, 2**53 + 1, 2**53 + 3], below):
+        with pytest.raises(ValueError, match="not exact"):
+            SortedList(bad)
+    assert SortedList([0, 2**53]).values.tolist() == [0.0, 2.0**53]
+    assert SortedList(np.array([0, 2**53 + 2, 2**62], dtype=np.int64)).n == 2
+    assert SortedList([0.0, 2.0**60]).n == 1
     lst = SortedList([0.0, 1.0, 1.0, 2.0])  # non-decreasing is allowed
     assert lst.n == 3
     assert len(lst) == 4
