@@ -34,6 +34,7 @@ from .search import (
     Strict,
     minmax_bound,
     search,
+    search_many,
 )
 
 __version__ = "0.1.0"
@@ -70,6 +71,7 @@ __all__ = [
     "sample_list",
     "sample_target",
     "search",
+    "search_many",
     "strategy_worst_depth",
     "sweep_kappa",
     "sweep_n",

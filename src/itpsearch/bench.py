@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 from .datasets import Dataset
 from .distributions import DistributionSpec, Uniform, sample_list, sample_target, trial_rng
-from .search import DEFAULT_CAP, SearchConfig, SortedList, Strategy, Strict, search
+from .search import DEFAULT_CAP, SearchConfig, SortedList, Strategy, Strict, search, search_many
 
 __all__ = [
     "TrialStats",
@@ -91,6 +91,8 @@ def run_trials(
 
     Distribution sources draw a fresh list and target each trial; dataset
     and plain-list sources keep the list fixed and draw only the target.
+    On a fixed list every target is drawn first and each strategy searches
+    them all in one ``search_many`` call, whose outcomes equal ``search``'s.
     Capped runs count at the cap value and increment cap_hits.
     """
     if trials < 1:
@@ -101,26 +103,30 @@ def run_trials(
     fixed = _fixed_list(source)
     if fixed is None and n is None:
         raise ValueError("n is required when sampling lists from a distribution")
+    if fixed is not None and n is not None and n != fixed.n:
+        raise ValueError(f"n={n} contradicts the fixed list's n={fixed.n}")
 
-    counts = [[0] * trials for _ in configs]
-    cap_hits = [0] * len(configs)
     if fixed is not None:
         n = fixed.n
         lo, hi = fixed[0], fixed[n]
-
-    for t in range(trials):
-        rng = trial_rng(master_seed, t)
-        if fixed is None:
+        zs = [sample_target(lo, hi, trial_rng(master_seed, t)) for t in range(trials)]
+        counts, cap_hits = [], []
+        for config in configs:
+            _, queries, capped = search_many(fixed, zs, config)
+            counts.append(queries.tolist())
+            cap_hits.append(int(capped.sum()))
+    else:
+        counts = [[0] * trials for _ in configs]
+        cap_hits = [0] * len(configs)
+        for t in range(trials):
+            rng = trial_rng(master_seed, t)
             lst = sample_list(source, n, rng)
-            lo, hi = lst[0], lst[n]
-        else:
-            lst = fixed
-        z = sample_target(lo, hi, rng)
-        for i, config in enumerate(configs):
-            outcome = search(lst, z, config)
-            counts[i][t] = outcome.queries
-            if outcome.capped:
-                cap_hits[i] += 1
+            z = sample_target(lst[0], lst[n], rng)
+            for i, config in enumerate(configs):
+                outcome = search(lst, z, config)
+                counts[i][t] = outcome.queries
+                if outcome.capped:
+                    cap_hits[i] += 1
 
     rows = []
     for i, config in enumerate(configs):

@@ -206,7 +206,15 @@ def _run_checks(checks) -> int:
     return 1 if failed else 0
 
 
+def _require(flag: str, value: int, low: int) -> None:
+    """Reject a size below its minimum, where the check would pass vacuously."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _cmd_verify(args) -> int:
+    _require("--max-n", args.max_n, 2)
+    _require("--trials", args.trials, 1)
     return _run_checks([
         (
             f"minmax bound exhaustive, n=2..{args.max_n}",
@@ -223,6 +231,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    _require("--max-n", args.max_n, 2)
     return _run_checks([
         (
             f"minimax_depth equals ceil(log2 n), n=2..{args.max_n}",

@@ -12,8 +12,11 @@ an exact hit collapses the bracket).  Three probe rules are provided:
   binary worst-case bound while probing (almost) like interpolation.
 
 Each rule is defined once, by ``make_probe_fn``; ``search`` and the oracles
-both drive it.  Endpoint values are cached with the bracket, so a search is
-charged one query per interior probe only.
+both drive it.  ``search_many`` searches many targets on one list in lockstep
+with numpy; its array form of each rule repeats the scalar arithmetic
+operation by operation, and differential tests hold the two equal.  Endpoint
+values are cached with the bracket, so a search is charged one query per
+interior probe only.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ __all__ = [
     "round_toward_midpoint",
     "make_probe_fn",
     "search",
+    "search_many",
 ]
 
 DEFAULT_KAPPA1 = 0.01
@@ -325,6 +329,29 @@ def make_probe_fn(config: SearchConfig, n: int) -> ProbeRule:
     return itp
 
 
+def _descend(v, z, probe, cap, a, b, j, va, vb, trace):
+    """The search loop, from bracket (a, b) with end values (va, vb) at
+    iteration j; each probe is appended to ``trace``.
+
+    Returns ``(k_star, queries, capped)``.  ``search`` runs it from the start,
+    ``search_many`` to finish the lanes its lockstep loop hands over.
+    """
+    while b - a > 1:
+        if j >= cap:
+            return a, j, True
+        k = probe(a, b, j, va, vb, z)
+        v_k = float(v[k])
+        trace.append(k)
+        j += 1
+        if v_k > z:
+            b, vb = k, v_k
+        elif v_k < z:
+            a, va = k, v_k
+        else:  # exact hit: the cell (k, k+1) holds z
+            a, b = k, k + 1
+    return a, j, False
+
+
 def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
     """Locate k with values[k] <= z <= values[k+1] and count the probes.
 
@@ -343,22 +370,147 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
         raise ValueError(f"target {z} outside key range [{v0}, {vn}]")
     if z == v0:
         return SearchOutcome(k_star=0, queries=0, trace=())
-    probe = make_probe_fn(config, n)
-    a, b, va, vb = 0, n, v0, vn
+    z = float(z)  # a numpy scalar would turn truncate's sign into numpy booleans
     trace: list[int] = []
-    capped = False
-    while b - a > 1:
-        j = len(trace)
-        if j >= config.cap:
-            capped = True
-            break
-        k = probe(a, b, j, va, vb, z)
-        v_k = float(v[k])
-        trace.append(k)
-        if v_k > z:
-            b, vb = k, v_k
-        elif v_k < z:
-            a, va = k, v_k
-        else:  # exact hit: the cell (k, k+1) holds z
-            a, b = k, k + 1
-    return SearchOutcome(k_star=a, queries=len(trace), trace=tuple(trace), capped=capped)
+    k_star, queries, capped = _descend(
+        v, z, make_probe_fn(config, n), config.cap, 0, n, 0, v0, vn, trace
+    )
+    return SearchOutcome(k_star=k_star, queries=queries, trace=tuple(trace), capped=capped)
+
+
+# search_many hands its last lanes to the scalar loop once this few remain:
+# a lockstep iteration costs tens of microseconds however few lanes are live,
+# and interpolation's slowest targets take ten times its median probe count.
+SCALAR_FINISH = 8
+
+
+def search_many(lst: SortedList, zs, config: SearchConfig):
+    """``search`` for every target in ``zs`` at once, without traces.
+
+    Returns ``(k_star, queries, capped)`` arrays that equal, lane by lane, the
+    fields of ``search(lst, z, config)``, and raises the same ValueError for
+    the first target outside the key range.  All live brackets advance one
+    probe per iteration with numpy and retire as they close; the last
+    ``SCALAR_FINISH`` lanes finish in the scalar loop.  Each probe rule
+    repeats the arithmetic of ``make_probe_fn``'s rule operation by
+    operation, so every probe lands on the same index.
+    """
+    v = lst.values
+    n = lst.n
+    v0 = float(v[0])
+    vn = float(v[n])
+    zs = np.asarray(zs, dtype=np.float64)
+    if zs.ndim != 1:
+        raise ValueError("targets must be one-dimensional")
+    outside = ~((v0 <= zs) & (zs <= vn))
+    if outside.any():
+        z = zs[np.argmax(outside)].item()
+        raise ValueError(f"target {z} outside key range [{v0}, {vn}]")
+    k_star = np.zeros(zs.size, dtype=np.int64)
+    queries = np.zeros(zs.size, dtype=np.int64)
+    capped = np.zeros(zs.size, dtype=bool)
+
+    lane = np.flatnonzero(zs != v0)  # z == values[0] costs no query
+    if lane.size == 0:
+        return k_star, queries, capped
+    probe = make_probe_fn(config, n)  # validates a Relaxed budget, as search does
+    rule = _lockstep_rule(config, n)
+    z = zs[lane]
+    a = np.zeros(lane.size, dtype=np.int64)
+    b = np.full(lane.size, n, dtype=np.int64)
+    va = np.full(lane.size, v0)
+    vb = np.full(lane.size, vn)
+    j = 0
+    # every lane in the loop is live (b - a > 1); n == 1 leaves them all to
+    # the scalar loop, which closes them at once
+    while n > 1 and j < config.cap and lane.size > SCALAR_FINISH:
+        k = rule(a, b, j, va, vb, z)
+        v_k = v[k]
+        above = v_k > z
+        below = v_k < z
+        b = np.where(above, k, np.where(below, b, k + 1))  # exact hit: cell (k, k+1)
+        a = np.where(above, a, k)
+        vb = np.where(above, v_k, vb)
+        va = np.where(below, v_k, va)
+        j += 1
+        live = b - a > 1
+        if not live.all():
+            k_star[lane[~live]] = a[~live]
+            queries[lane[~live]] = j
+            lane, z, a, b, va, vb = lane[live], z[live], a[live], b[live], va[live], vb[live]
+    for i, zi, ai, bi, vai, vbi in zip(
+        lane.tolist(), z.tolist(), a.tolist(), b.tolist(), va.tolist(), vb.tolist()
+    ):
+        k_star[i], queries[i], capped[i] = _descend(
+            v, zi, probe, config.cap, ai, bi, j, vai, vbi, []
+        )
+    return k_star, queries, capped
+
+
+def _lockstep_rule(config: SearchConfig, n: int):
+    """``make_probe_fn``'s rule over arrays of brackets sharing iteration j.
+
+    Each step is the same IEEE operation as in the scalar rule.  The one
+    exception numpy cannot match is ``delta ** kappa2``: ``np.power`` differs
+    from C ``pow`` in the last bit for about 5% of deltas, so the truncation
+    step is taken with Python floats, lane by lane.
+    """
+    if config.strategy is Strategy.BINARY:
+        return lambda a, b, j, va, vb, z: (a + b) // 2
+
+    if config.strategy is Strategy.INTERPOLATION:
+        def interpolation(a, b, j, va, vb, z):
+            x_f = _interpolation_points(a, b, va, vb, z)
+            return _round_toward_midpoints(x_f, (a + b) / 2, a, b)
+
+        return interpolation
+
+    kappa1, kappa2 = config.kappa1, config.kappa2
+    n_ref = config.variant.n_ref(n)
+
+    def itp(a, b, j, va, vb, z):
+        x_half = (a + b) / 2
+        delta = b - a
+        x_f = _interpolation_points(a, b, va, vb, z)
+        # truncate
+        gap = x_half - x_f
+        sigma = np.sign(gap)
+        step = np.array([kappa1 * d**kappa2 for d in delta.tolist()])
+        x_t = x_f + sigma * step
+        short = np.where(sigma > 0, x_t < x_half, x_t > x_half)
+        x_t = np.where((step <= np.abs(gap)) & short, x_t, x_half)
+        # minmax_radius
+        if n_ref is None:
+            exp = np.frexp((delta - 1).astype(np.float64))[1] - 1  # bit_length - 1
+            r = np.ldexp(1.0, exp) - delta / 2
+        else:
+            r = 2.0 ** (n_ref - j - 1) - delta / 2
+            r = np.where(r > 0, r, 0.0)
+        # project
+        x_itp = np.where(np.abs(x_t - x_half) <= r, x_t, x_half - sigma * r)
+        return _round_toward_midpoints(x_itp, x_half, a, b)
+
+    return itp
+
+
+def _interpolation_points(a, b, va, vb, z):
+    """``interpolation_point`` over arrays of live brackets.
+
+    A live lane has va < z <= vb (va only ever takes a key below z), so the
+    flat-bracket midpoint never applies.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = va - vb
+        x = (b * (va - z) - a * (vb - z)) / d
+        redo = ~(np.isfinite(x) & np.isfinite(d))
+        if redo.any():
+            ar, br, var, vbr, zr = a[redo], b[redo], va[redo], vb[redo], z[redo]
+            x[redo] = ar + (br - ar) * ((zr / 2 - var / 2) / (vbr / 2 - var / 2))
+    return np.minimum(np.maximum(x, a), b)
+
+
+def _round_toward_midpoints(x, x_half, a, b):
+    """``round_toward_midpoint`` over arrays, as int64 indices."""
+    f = np.floor(x)
+    k = np.where((f != x) & (x < x_half), f + 1, f).astype(np.int64)
+    return np.minimum(np.maximum(k, a + 1), b - 1)

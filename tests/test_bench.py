@@ -1,6 +1,7 @@
 """Benchmark harness: fairness, determinism, aggregation, CSV output."""
 
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +15,27 @@ from itpsearch.bench import (
     sweep_n,
     write_csv,
 )
-from itpsearch.datasets import generate
-from itpsearch.distributions import Uniform
-from itpsearch.search import Relaxed, SearchConfig, SortedList, Strict, minmax_bound
+from itpsearch.datasets import generate, load_numeric, load_text
+from itpsearch.distributions import Gaussian, Uniform, sample_list, sample_target, trial_rng
+from itpsearch.search import (
+    Local,
+    Relaxed,
+    SearchConfig,
+    SortedList,
+    Strict,
+    minmax_bound,
+    search,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+FIVE_KINDS = (
+    SearchConfig.binary(),
+    SearchConfig.interpolation(),
+    SearchConfig.itp(Strict()),
+    SearchConfig.itp(Relaxed()),
+    SearchConfig.itp(Local(), kappa1=0.2, kappa2=0.6),
+)
 
 
 def test_n2_forces_single_probe():
@@ -96,6 +115,11 @@ def test_run_trials_validation():
         run_trials(Uniform(), [], 5, 0, n=4)
     with pytest.raises(ValueError, match="n is required"):
         run_trials(Uniform(), [SearchConfig.binary()], 5, 0)
+    # a fixed source has its own n; a different one is a caller's mistake
+    with pytest.raises(ValueError, match="n=7 contradicts"):
+        run_trials(generate("primes", 100), [SearchConfig.binary()], 5, 0, n=7)
+    (row,) = run_trials(generate("primes", 100), [SearchConfig.binary()], 5, 0, n=100)
+    assert row.n == 100
 
 
 def test_single_cell_sweep_equals_run_trials():
@@ -171,3 +195,51 @@ def test_csv_format_and_reproducibility():
         n=50,
     ), again)
     assert again.getvalue() == text
+
+
+def _scalar_stats(lst, configs, trials, seed):
+    """Per config (n, trials, mean, median, max, cap_hits) from one scalar
+    search per trial: the reference for run_trials on a fixed list."""
+    zs = [sample_target(lst[0], lst[lst.n], trial_rng(seed, t)) for t in range(trials)]
+    stats = []
+    for config in configs:
+        outcomes = [search(lst, z, config) for z in zs]
+        queries = [o.queries for o in outcomes]
+        stats.append((
+            lst.n,
+            trials,
+            sum(queries) / trials,
+            float(np.median(queries)),
+            max(queries),
+            sum(o.capped for o in outcomes),
+        ))
+    return stats
+
+
+def _stats(rows):
+    return [(r.n, r.trials, r.mean, r.median, r.max, r.cap_hits) for r in rows]
+
+
+@pytest.mark.parametrize(
+    "make_source",
+    [
+        lambda: generate("harmonic", 3000),
+        lambda: load_text(DATA / "surnames.txt"),
+        lambda: load_numeric(DATA / "readings.csv", column=2),
+        lambda: sample_list(Gaussian(), 5000, 3),  # a plain SortedList, heavy interpolation tail
+    ],
+    ids=["harmonic", "surnames", "readings", "gaussian-list"],
+)
+def test_fixed_list_rows_equal_scalar_reference(make_source):
+    source = make_source()
+    lst = source if isinstance(source, SortedList) else source.list
+    rows = run_trials(source, FIVE_KINDS, 300, 12)
+    assert _stats(rows) == _scalar_stats(lst, FIVE_KINDS, 300, 12)
+
+
+def test_fixed_list_cap_hits_equal_scalar_reference():
+    ds = generate("fibonacci", 60)
+    configs = [SearchConfig.interpolation(cap=3), SearchConfig.binary(cap=3)]
+    rows = run_trials(ds, configs, 200, 4)
+    assert rows[0].cap_hits > 0
+    assert _stats(rows) == _scalar_stats(ds.list, configs, 200, 4)

@@ -36,6 +36,24 @@ def test_oracle_check_passes(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--max-n", "1"], "--max-n must be >= 2, got 1"),
+        (["verify", "--trials", "0"], "--trials must be >= 1, got 0"),
+        (["verify", "--trials", "-5", "--max-n", "1"], "--max-n must be >= 2, got 1"),
+        (["oracle-check", "--max-n", "0"], "--max-n must be >= 2, got 0"),
+        (["oracle-check", "--max-n", "1"], "--max-n must be >= 2, got 1"),
+    ],
+)
+def test_checks_refuse_vacuous_sizes(argv, message, capsys):
+    # a check over no sizes or no instances would print PASS without checking
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_fails_through_cli_search(monkeypatch, capsys):
     # the checks must search through itpsearch.cli.search, and report its faults
     real = cli.search

@@ -1,15 +1,21 @@
 """Core search: operation examples, invariants, and property tests."""
 
+import dataclasses
+import importlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from itpsearch.bench import TABLE1_KAPPA1, TABLE1_KAPPA2
+from itpsearch.keycodec import encode_base27
 from itpsearch.oracle import linear_scan
 from itpsearch.search import (
+    DEFAULT_CAP,
     Local,
     Relaxed,
     SearchConfig,
@@ -23,8 +29,12 @@ from itpsearch.search import (
     project,
     round_toward_midpoint,
     search,
+    search_many,
     truncate,
 )
+
+# the module, not the function the package re-exports under the same name
+search_module = importlib.import_module("itpsearch.search")
 
 RAMP_1024 = SortedList(np.arange(1025) / 1024, validate=False)
 HUGE = 1.7e308
@@ -224,6 +234,9 @@ def test_search_domain_and_endpoints():
         search(lst, 0.05, SearchConfig.binary())
     with pytest.raises(ValueError):
         search(lst, 0.45, SearchConfig.binary())
+    # a numpy scalar target searches like the same Python float
+    for config in (SearchConfig.binary(), SearchConfig.interpolation(), SearchConfig.itp()):
+        assert search(lst, np.float64(0.25), config) == search(lst, 0.25, config)
     # left endpoint answered from the cache, no probes
     out = search(lst, 0.1, SearchConfig.itp())
     assert (out.k_star, out.queries, out.trace) == (0, 0, ())
@@ -423,24 +436,29 @@ def test_probe_rule_interior(a, width, z_frac, config):
 
 
 @st.composite
-def _adversarial_case(draw):
-    """Sorted keys that stress the rules' arithmetic, and a target in range.
+def _adversarial_values(draw):
+    """Sorted keys that stress the rules' arithmetic.
 
     Integer grids with zero steps give plateaus and all-equal runs, a scale
     of 5e-324 makes every step subnormal, and floats drawn up to +-1.7e308
-    give key spans that overflow float64 differences.  The target is a key
-    (possibly a duplicated one) or any float in the key range.
+    give key spans that overflow float64 differences.
     """
     if draw(st.booleans()):
         steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
         scale = draw(st.sampled_from((5e-324, 1.0, 1e300)))
         base = draw(st.sampled_from((0.0, -1.0, 1e308, -HUGE)))
-        values = [base + scale * i for i in itertools.accumulate(steps, initial=0)]
-    else:
-        values = draw(st.lists(st.floats(-HUGE, HUGE), min_size=2, max_size=40))
-        if draw(st.booleans()):
-            values += [-HUGE, HUGE]
-        values = sorted(v + 0.0 for v in values)  # -0.0 + 0.0 is 0.0
+        return [base + scale * i for i in itertools.accumulate(steps, initial=0)]
+    values = draw(st.lists(st.floats(-HUGE, HUGE), min_size=2, max_size=40))
+    if draw(st.booleans()):
+        values += [-HUGE, HUGE]
+    return sorted(v + 0.0 for v in values)  # -0.0 + 0.0 is 0.0
+
+
+@st.composite
+def _adversarial_case(draw):
+    """Adversarial keys and a target in range: a key (possibly a duplicated
+    one) or any float in the key range."""
+    values = draw(_adversarial_values())
     z = draw(st.one_of(st.sampled_from(values), st.floats(values[0], values[-1])))
     return values, z
 
@@ -466,3 +484,155 @@ def test_search_matches_linear_scan_adversarial(case, config):
         n_ref = config.variant.n_ref(lst.n)
         if n_ref is not None:
             assert out.queries <= math.ceil(n_ref)
+
+
+# ---------------------------------------------------------------------------
+# search_many against search, lane by lane
+
+
+def _result_or_error(run):
+    try:
+        return run()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _assert_batch_matches(lst, zs, config):
+    """search_many gives search's (k*, queries, capped) on every lane, or its
+    error, both in lockstep to the end and with the scalar finish."""
+
+    def scalar():
+        return [(o.k_star, o.queries, o.capped) for o in (search(lst, z, config) for z in zs)]
+
+    def batch():
+        k_star, queries, capped = search_many(lst, zs, config)
+        return list(zip(k_star.tolist(), queries.tolist(), capped.tolist()))
+
+    want = _result_or_error(scalar)
+    for finish in (0, search_module.SCALAR_FINISH):
+        with mock.patch.object(search_module, "SCALAR_FINISH", finish):
+            assert _result_or_error(batch) == want
+
+
+# every probe rule and variant, a fractional Relaxed budget (below the
+# minmax bound on lists with n > 16, where both must raise) and small caps
+_batch_configs = st.builds(
+    dataclasses.replace,
+    st.one_of(_configs, st.just(SearchConfig.itp(Relaxed(n_max=4.5)))),
+    cap=st.sampled_from((1, 2, 3, DEFAULT_CAP)),
+)
+
+
+@st.composite
+def _adversarial_batch(draw):
+    """Adversarial keys, with every key (both ends, duplicates) and up to 30
+    floats in the key range as targets."""
+    values = draw(_adversarial_values())
+    spread = draw(st.lists(st.floats(values[0], values[-1]), max_size=30))
+    return values, values + spread
+
+
+@given(case=_adversarial_batch(), config=_batch_configs)
+@example(
+    case=([-HUGE, -1e308, 0.0, 1e308, HUGE], [1.5e308] * 10),
+    config=SearchConfig.interpolation(),
+)
+@settings(max_examples=300)
+def test_search_many_matches_search_adversarial(case, config):
+    values, zs = case
+    _assert_batch_matches(SortedList(values), zs, config)
+
+
+def _text_keys(count, seed):
+    """Sorted base-27 codes of random words whose letters follow a Zipf law,
+    so that the codes cluster like real text keys."""
+    rng = np.random.default_rng(seed)
+    alphabet = np.array(list("etaoinshrdlcumwfgypbvkjxqz"))
+    p = 1.0 / np.arange(1, alphabet.size + 1)
+    letters = alphabet[rng.choice(alphabet.size, size=(count, 11), p=p / p.sum())]
+    lengths = rng.integers(4, 12, count)
+    words = ["".join(row[:length]) for row, length in zip(letters.tolist(), lengths.tolist())]
+    return SortedList(np.unique([encode_base27(w) for w in words]))
+
+
+def test_search_many_matches_search_on_text_keys():
+    lst = _text_keys(200_000, 5)
+    assert 180_000 < lst.n < 200_000  # codec merges take about 5%
+    rng = np.random.default_rng(6)
+    v = lst.values
+    zs = (v[0] + (v[-1] - v[0]) * rng.random(150)).tolist()
+    zs += v[rng.integers(0, lst.n + 1, 40)].tolist() + [v[0], v[-1]]
+    configs = [
+        SearchConfig.binary(),
+        SearchConfig.interpolation(),
+        SearchConfig.interpolation(cap=3),
+        SearchConfig.itp(Relaxed(n_max=19.37), cap=2),
+    ]
+    configs += [
+        SearchConfig.itp(variant, kappa1=k1, kappa2=k2)
+        for variant in (Strict(), Relaxed(), Local())
+        for k1 in TABLE1_KAPPA1
+        for k2 in TABLE1_KAPPA2
+    ]
+    for config in configs:
+        _assert_batch_matches(lst, zs, config)
+
+
+def test_search_many_edges():
+    lst = SortedList([0.1, 0.2, 0.2, 0.2, 0.3, 0.4, 0.7, 0.9, 0.95, 1.0, 1.5])
+    keys = lst.values.tolist()
+    configs = (
+        SearchConfig.binary(),
+        SearchConfig.interpolation(),
+        SearchConfig.itp(Strict()),
+        SearchConfig.itp(Local(), cap=1),
+    )
+    for config in configs:
+        # every key, the ends and the plateau included, twice over
+        _assert_batch_matches(lst, keys + keys, config)
+        k_star, queries, capped = search_many(lst, [], config)
+        assert k_star.size == queries.size == capped.size == 0
+    # values[0] costs no query, and no budget check, as in search
+    tight = SearchConfig.itp(Relaxed(n_max=1.0))
+    assert search_many(lst, [0.1] * 12, tight)[1].tolist() == [0] * 12
+    with pytest.raises(ValueError, match="below minmax bound"):
+        search_many(lst, [0.1] * 12 + [0.15], tight)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        search_many(lst, [[0.2, 0.3]], SearchConfig.binary())
+    # the first target outside the range is reported, as search reports it
+    for bad in (0.05, 1.6, math.nan):
+        with pytest.raises(ValueError, match=f"target {bad} outside key range"):
+            search_many(lst, keys + [bad, 0.01], SearchConfig.binary())
+
+
+def _midpoint_tie(n, kappa2):
+    """A list of odd size n, an ITP-Strict config and a target whose first
+    truncation step reaches the midpoint exactly (step == x_half - x_f), or
+    None where no float target gives that x_f.
+
+    The probe is then x_half itself, which the tie rule rounds down; a step
+    one ulp shorter leaves x_t just left of x_half, which rounds up.  So the
+    first probe shows the last bit of kappa1 * n**kappa2, and the keys put z
+    between the two candidates: cap=1 reports the probe as k* when it is
+    (n - 1) / 2 and 0 otherwise.
+    """
+    kappa1 = (n / 2 - 0.5) / n**kappa2
+    x_f = n / 2 - kappa1 * n**kappa2  # exact: the step is within [n/4, n/2]
+    for z in (x_f / n, math.nextafter(x_f / n, 0), math.nextafter(x_f / n, 1)):
+        if interpolation_point(0, n, 0.0, 1.0, z) == x_f:
+            break
+    else:
+        return None
+    i = np.arange(n + 1)
+    values = np.where(i <= n // 2, z * i / n, 0.5 + 0.5 * i / n)
+    config = SearchConfig.itp(Strict(), kappa1=kappa1, kappa2=kappa2, cap=1)
+    return SortedList(values), z, config
+
+
+def test_search_many_midpoint_ties():
+    cases = [_midpoint_tie(n, k2) for n in range(1001, 1201, 2) for k2 in TABLE1_KAPPA2]
+    cases = [case for case in cases if case is not None]
+    assert len(cases) > 900
+    for lst, z, config in cases:
+        assert search(lst, z, config).k_star == lst.n // 2
+        _assert_batch_matches(lst, [z] * (search_module.SCALAR_FINISH + 1), config)
