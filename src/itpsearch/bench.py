@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 from .datasets import Dataset
@@ -31,20 +31,6 @@ __all__ = [
 TABLE1_KAPPA1 = (0.01, 0.12, 0.23, 0.34, 0.45, 0.56, 0.67, 0.78)
 TABLE1_KAPPA2 = (0.51, 0.56, 0.62, 0.67, 0.72, 0.78, 0.83, 0.88, 0.94, 0.99)
 
-CSV_HEADER = (
-    "strategy",
-    "n",
-    "trials",
-    "mean",
-    "median",
-    "max",
-    "cap_hits",
-    "seed",
-    "variant",
-    "kappa1",
-    "kappa2",
-)
-
 Source = Union[DistributionSpec, Dataset, SortedList]
 
 
@@ -63,6 +49,9 @@ class TrialStats:
     variant: str = ""
     kappa1: Optional[float] = None
     kappa2: Optional[float] = None
+
+
+CSV_HEADER = tuple(f.name for f in fields(TrialStats))
 
 
 def _labels(config: SearchConfig):

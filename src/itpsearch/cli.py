@@ -49,18 +49,17 @@ DISTRIBUTIONS = {
 }
 
 
-def _float_list(text: str) -> list[float]:
-    values = [float(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
-    return values
+def _comma_list(cast):
+    """An argparse type: a non-empty comma-separated list of ``cast`` values."""
 
+    def parse(text: str) -> list:
+        values = [cast(part) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
 
-def _int_list(text: str) -> list[int]:
-    values = [int(part) for part in text.split(",") if part.strip()]
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
-    return values
+    parse.__name__ = f"{cast.__name__} list"  # argparse names it in its errors
+    return parse
 
 
 def _variant(args):
@@ -71,6 +70,17 @@ def _variant(args):
     return Relaxed(extra=args.nmax_extra)
 
 
+def _strategies(args) -> list[SearchConfig]:
+    """The rows of sweep-n and bench-file: binary, interpolation and the ITP rule."""
+    return [
+        SearchConfig.binary(cap=args.cap),
+        SearchConfig.interpolation(cap=args.cap),
+        SearchConfig.itp(
+            variant=_variant(args), kappa1=args.kappa1, kappa2=args.kappa2, cap=args.cap
+        ),
+    ]
+
+
 def _emit(rows, output: str) -> None:
     if output == "-":
         bench.write_csv(rows, sys.stdout)
@@ -79,18 +89,18 @@ def _emit(rows, output: str) -> None:
             bench.write_csv(rows, fh)
 
 
-def _add_run_flags(parser, *, trials: int) -> None:
-    parser.add_argument("--trials", type=int, default=trials, help="Monte Carlo trials per row")
+def _add_run_flags(parser) -> None:
+    parser.add_argument("--trials", type=int, default=500, help="Monte Carlo trials per row")
     parser.add_argument("--seed", type=int, default=0, help="master seed; trials derive from it")
     parser.add_argument("--cap", type=int, default=DEFAULT_CAP, help="query cap per search")
     parser.add_argument("--output", default="-", help="CSV path, or - for stdout")
 
 
-def _add_variant_flags(parser) -> None:
+def _add_variant_flags(parser, *, default: str) -> None:
     parser.add_argument(
         "--variant",
         choices=("strict", "relaxed", "local"),
-        default="relaxed",
+        default=default,
         help="minmax radius rule for the ITP strategy",
     )
     parser.add_argument(
@@ -99,8 +109,6 @@ def _add_variant_flags(parser) -> None:
         default=DEFAULT_NMAX_EXTRA,
         help="relaxed budget above ceil(log2 n)",
     )
-    parser.add_argument("--kappa1", type=float, default=DEFAULT_KAPPA1)
-    parser.add_argument("--kappa2", type=float, default=DEFAULT_KAPPA2)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +273,8 @@ def _cmd_sweep_kappa(args) -> int:
 
 
 def _cmd_sweep_n(args) -> int:
-    variant = _variant(args)
-    strategies = [
-        SearchConfig.binary(cap=args.cap),
-        SearchConfig.interpolation(cap=args.cap),
-        SearchConfig.itp(variant=variant, kappa1=args.kappa1, kappa2=args.kappa2, cap=args.cap),
-    ]
     rows = bench.sweep_n(
-        args.n, DISTRIBUTIONS[args.distribution](), strategies, args.trials, args.seed
+        args.n, DISTRIBUTIONS[args.distribution](), _strategies(args), args.trials, args.seed
     )
     _emit(rows, args.output)
     return 0
@@ -285,14 +287,7 @@ def _cmd_bench_file(args) -> int:
         dataset = datasets.load_text(args.input)
     else:
         dataset = datasets.load_numeric(args.input, column=args.column)
-    strategies = [
-        SearchConfig.binary(cap=args.cap),
-        SearchConfig.interpolation(cap=args.cap),
-        SearchConfig.itp(
-            variant=_variant(args), kappa1=args.kappa1, kappa2=args.kappa2, cap=args.cap
-        ),
-    ]
-    rows = bench.run_trials(dataset, strategies, args.trials, args.seed)
+    rows = bench.run_trials(dataset, _strategies(args), args.trials, args.seed)
     _emit(rows, args.output)
     return 0
 
@@ -323,36 +318,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-kappa", help="mean queries over a (kappa1, kappa2) grid")
     p.add_argument("--n", type=int, default=200_000, help="list size")
-    p.add_argument("--kappa1", type=_float_list, default=list(bench.TABLE1_KAPPA1))
-    p.add_argument("--kappa2", type=_float_list, default=list(bench.TABLE1_KAPPA2))
-    p.add_argument(
-        "--variant",
-        choices=("strict", "relaxed", "local"),
-        default="strict",
-        help="the sweep table is defined against the strict rule",
-    )
-    p.add_argument("--nmax-extra", type=float, default=DEFAULT_NMAX_EXTRA)
+    p.add_argument("--kappa1", type=_comma_list(float), default=list(bench.TABLE1_KAPPA1))
+    p.add_argument("--kappa2", type=_comma_list(float), default=list(bench.TABLE1_KAPPA2))
+    _add_variant_flags(p, default="strict")  # the sweep table is defined against strict
     p.add_argument(
         "--distribution", choices=sorted(DISTRIBUTIONS), default="uniform"
     )
-    _add_run_flags(p, trials=500)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_sweep_kappa)
 
     p = sub.add_parser("sweep-n", help="per-strategy stats across list sizes")
-    p.add_argument("--n", type=_int_list, required=True, help="comma-separated list sizes")
-    _add_variant_flags(p)
+    p.add_argument("--n", type=_comma_list(int), required=True, help="comma-separated list sizes")
+    _add_variant_flags(p, default="relaxed")
+    p.add_argument("--kappa1", type=float, default=DEFAULT_KAPPA1)
+    p.add_argument("--kappa2", type=float, default=DEFAULT_KAPPA2)
     p.add_argument(
         "--distribution", choices=sorted(DISTRIBUTIONS), default="uniform"
     )
-    _add_run_flags(p, trials=500)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_sweep_n)
 
     p = sub.add_parser("bench-file", help="benchmark all strategies against a file's keys")
     p.add_argument("--input", required=True, help="file of values or text keys")
     p.add_argument("--text", action="store_true", help="treat lines as text keys")
     p.add_argument("--column", type=int, default=None, help="1-based CSV column")
-    _add_variant_flags(p)
-    _add_run_flags(p, trials=500)
+    _add_variant_flags(p, default="relaxed")
+    p.add_argument("--kappa1", type=float, default=DEFAULT_KAPPA1)
+    p.add_argument("--kappa2", type=float, default=DEFAULT_KAPPA2)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_bench_file)
 
     p = sub.add_parser("oracle-check", help="cross-check the analytic and enumerated oracles")

@@ -28,59 +28,39 @@ MAX_FIBONACCI_N = 1470
 
 @dataclass(frozen=True)
 class Dataset:
-    name: str
     list: SortedList
-    origin: str  # "file" or "generated"
     dedup_count: int = 0
 
 
-def _finish(name: str, raw: np.ndarray, origin: str, dedup: bool) -> Dataset:
+def _finish(name: str, raw: np.ndarray) -> Dataset:
     if not np.isfinite(raw).all():
         raise ValueError(f"{name}: keys must be finite (no NaN or inf)")
-    if dedup:
-        values = np.unique(raw)  # sorts and drops duplicates
-    else:
-        values = np.sort(raw)
+    values = np.unique(raw)  # sorts and drops duplicates
     if values.size < 2:
         raise ValueError(f"{name}: need at least 2 distinct values, got {values.size}")
-    return Dataset(
-        name=name,
-        list=SortedList(values, validate=False),
-        origin=origin,
-        dedup_count=raw.size - values.size,
-    )
+    return Dataset(list=SortedList(values, validate=False), dedup_count=raw.size - values.size)
 
 
-def load_numeric(path, column: int | None = None, dedup: bool = True) -> Dataset:
+def load_numeric(path, column: int | None = None) -> Dataset:
     """Parse one decimal number per row (or per row of a CSV column)."""
     path = Path(path)
     raw: list[float] = []
     with open(path, newline="") as fh:
-        if column is None:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    raw.append(float(text))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
-        else:
-            if column < 1:
-                raise ValueError(f"column is 1-based, got {column}")
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                if column > len(row):
-                    raise ValueError(f"{path}:{lineno}: no column {column}")
-                text = row[column - 1].strip()
-                try:
-                    raw.append(float(text))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
+        if column is not None and column < 1:
+            raise ValueError(f"column is 1-based, got {column}")
+        for lineno, row in enumerate(fh if column is None else csv.reader(fh), start=1):
+            if not row or (column is None and row.isspace()):
+                continue
+            if column is not None and column > len(row):
+                raise ValueError(f"{path}:{lineno}: no column {column}")
+            text = row.strip() if column is None else row[column - 1].strip()
+            try:
+                raw.append(float(text))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
     if not raw:
         raise ValueError(f"{path}: no values")
-    return _finish(path.stem, np.asarray(raw), "file", dedup)
+    return _finish(path.stem, np.asarray(raw))
 
 
 def load_text(path) -> Dataset:
@@ -91,7 +71,7 @@ def load_text(path) -> Dataset:
     if not lines:
         raise ValueError(f"{path}: no keys")
     raw = np.asarray([encode_base27(line) for line in lines])
-    return _finish(path.stem, raw, "file", dedup=True)
+    return _finish(path.stem, raw)
 
 
 def _first_primes(count: int) -> np.ndarray:
@@ -137,4 +117,4 @@ def generate(kind: str, n: int) -> Dataset:
         raw = np.cumsum(1.0 / np.arange(1, n + 2))
     else:
         raise ValueError(f"unknown kind {kind!r}, expected one of {GENERATOR_KINDS}")
-    return _finish(kind, raw, "generated", dedup=True)
+    return _finish(kind, raw)

@@ -33,9 +33,25 @@ __all__ = [
 ]
 
 
+def _fill_accepted(out: np.ndarray, draw, keep) -> None:
+    """Fill ``out`` with accepted draws; batch sizes depend only on the
+    remaining need, so the stream consumption is reproducible."""
+    got = 0
+    while got < out.size:
+        want = out.size - got
+        batch = draw(max(64, want + want // 2))
+        batch = batch[keep(batch)]
+        take = min(want, batch.size)
+        out[got : got + take] = batch[:take]
+        got += take
+
+
 @dataclass(frozen=True)
 class Uniform:
     """Flat density on [0, 1]."""
+
+    def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        rng.random(out=out)
 
 
 @dataclass(frozen=True)
@@ -48,6 +64,12 @@ class Gaussian:
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
+    def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        mu = rng.random()  # fresh location per list
+        _fill_accepted(
+            out, lambda m: rng.normal(mu, self.sigma, m), lambda x: (x >= 0.0) & (x <= 1.0)
+        )
+
 
 @dataclass(frozen=True)
 class Exponential:
@@ -59,10 +81,17 @@ class Exponential:
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
 
+    def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        _fill_accepted(out, lambda m: rng.exponential(1.0 / self.rate, m), lambda x: x <= 1.0)
+
 
 @dataclass(frozen=True)
 class Triangular:
     """Density 2x on [0, 1]: the square root of a uniform draw."""
+
+    def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        rng.random(out=out)
+        np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -78,7 +107,13 @@ class Step:
         if not 0 < self.left_mass < 1:
             raise ValueError(f"left_mass must be in (0, 1), got {self.left_mass}")
 
+    def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
+        left = rng.random(out.size) < self.left_mass
+        u = rng.random(out.size)
+        out[:] = np.where(left, self.split * u, self.split + (1.0 - self.split) * u)
 
+
+# each spec's fill(out, rng) writes out.size i.i.d. draws in [0, 1] into out
 DistributionSpec = Uniform | Gaussian | Exponential | Triangular | Step
 
 
@@ -95,46 +130,6 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _rejection_sample(draw, count: int, keep) -> np.ndarray:
-    """Accumulate ``count`` accepted draws; batch sizes depend only on the
-    remaining need, so the stream consumption is reproducible."""
-    out = np.empty(count)
-    got = 0
-    while got < count:
-        want = count - got
-        batch = draw(max(64, want + want // 2))
-        batch = batch[keep(batch)]
-        take = min(want, batch.size)
-        out[got : got + take] = batch[:take]
-        got += take
-    return out
-
-
-def _interior(spec: DistributionSpec, count: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(spec, Uniform):
-        return rng.random(count)
-    if isinstance(spec, Gaussian):
-        mu = rng.random()  # fresh location per list
-        return _rejection_sample(
-            lambda m: rng.normal(mu, spec.sigma, m),
-            count,
-            lambda x: (x >= 0.0) & (x <= 1.0),
-        )
-    if isinstance(spec, Exponential):
-        return _rejection_sample(
-            lambda m: rng.exponential(1.0 / spec.rate, m),
-            count,
-            lambda x: x <= 1.0,
-        )
-    if isinstance(spec, Triangular):
-        return np.sqrt(rng.random(count))
-    if isinstance(spec, Step):
-        left = rng.random(count) < spec.left_mass
-        u = rng.random(count)
-        return np.where(left, spec.split * u, spec.split + (1.0 - spec.split) * u)
-    raise TypeError(f"unknown distribution spec {spec!r}")
-
-
 def sample_list(spec: DistributionSpec, n: int, seed) -> SortedList:
     """Draw a benchmark list of n + 1 keys: 0, n - 1 sorted interior draws, 1.
 
@@ -143,12 +138,11 @@ def sample_list(spec: DistributionSpec, n: int, seed) -> SortedList:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = as_rng(seed)
-    interior = np.sort(_interior(spec, n - 1, rng))
     values = np.empty(n + 1)
     values[0] = 0.0
-    values[1:n] = interior
     values[n] = 1.0
+    spec.fill(values[1:n], as_rng(seed))
+    values[1:n].sort()
     return SortedList(values, validate=False)
 
 

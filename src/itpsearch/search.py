@@ -76,26 +76,21 @@ class Strict:
 
 @dataclass(frozen=True)
 class Relaxed:
-    """Minmax radius anchored to an iteration budget n_max >= ceil(log2 n).
+    """Minmax radius anchored to the budget n_max = ceil(log2 n) + extra.
 
-    If ``n_max`` is None it is resolved per list as ceil(log2 n) + ``extra``.
-    A non-integer budget is allowed; the worst case is then ceil(n_max).
+    The slack ``extra`` is finite and >= 0.  A non-integer budget is allowed;
+    the worst case is then ceil(n_max).
     """
 
     label = "relaxed"
-    n_max: float | None = None
     extra: float = DEFAULT_NMAX_EXTRA
 
     def __post_init__(self) -> None:
-        if self.n_max is None and self.extra < 0:
-            raise ValueError(f"extra must be >= 0, got {self.extra}")
+        if not 0 <= self.extra < math.inf:
+            raise ValueError(f"extra must be finite and >= 0, got {self.extra}")
 
     def n_ref(self, n: int) -> float:
-        bound = minmax_bound(n)
-        n_max = bound + self.extra if self.n_max is None else self.n_max
-        if n_max < bound:
-            raise ValueError(f"n_max={n_max} below minmax bound {bound} for n={n}")
-        return n_max
+        return minmax_bound(n) + self.extra
 
 
 @dataclass(frozen=True)
@@ -162,8 +157,8 @@ class SearchConfig:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
-        if self.kappa1 <= 0:
-            raise ValueError(f"kappa1 must be positive, got {self.kappa1}")
+        if not 0 < self.kappa1 < math.inf:
+            raise ValueError(f"kappa1 must be finite and positive, got {self.kappa1}")
         if not 0.5 < self.kappa2 < 1.0:
             raise ValueError(f"kappa2 must be in (1/2, 1), got {self.kappa2}")
         if self.cap < 1:
@@ -299,8 +294,7 @@ def make_probe_fn(config: SearchConfig, n: int) -> ProbeRule:
     """The configured probe rule, bound to a list of size n.
 
     This is the one definition of each rule: ``search`` drives it over a real
-    list, and the oracles drive it over synthetic brackets.  Raises if a
-    Relaxed budget is below the minmax bound for n.
+    list, and the oracles drive it over synthetic brackets.
     """
     if config.strategy is Strategy.BINARY:
         def binary(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:
@@ -413,7 +407,7 @@ def search_many(lst: SortedList, zs, config: SearchConfig):
     lane = np.flatnonzero(zs != v0)  # z == values[0] costs no query
     if lane.size == 0:
         return k_star, queries, capped
-    probe = make_probe_fn(config, n)  # validates a Relaxed budget, as search does
+    probe = make_probe_fn(config, n)
     rule = _lockstep_rule(config, n)
     z = zs[lane]
     a = np.zeros(lane.size, dtype=np.int64)

@@ -14,6 +14,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from itpsearch.bench import TABLE1_KAPPA1, TABLE1_KAPPA2, run_trials, sweep_kappa, write_csv
 from itpsearch.cli import (
@@ -76,18 +77,29 @@ def test_01_minmax_bound_strict():
     )
 
 
-def test_02_sweet_spot_means():
+# (kappa1, kappa2, published mean) of the three sweet-spot cells
+SWEET_SPOT = [(0.01, 0.83, 6.87), (0.01, 0.99, 7.51), (0.78, 0.99, 17.69)]
+
+
+def _sweet_spot_run():
+    configs = [SearchConfig.itp(Strict(), kappa1=k1, kappa2=k2) for k1, k2, _ in SWEET_SPOT]
+    return run_trials(Uniform(), configs, 10_000, SEED + 2, n=200_000)
+
+
+@pytest.fixture(scope="module")
+def sweet_spot_rows():
+    """One sweet-spot run (10k lists of 2e5 keys), shared by tests 02 and 11."""
+    return _sweet_spot_run()
+
+
+def test_02_sweet_spot_means(sweet_spot_rows):
     """Mean queries at n=2e5 for three (kappa1, kappa2) cells, within 0.5."""
-    t0 = time.time()
-    cells = [(0.01, 0.83, 6.87), (0.01, 0.99, 7.51), (0.78, 0.99, 17.69)]
-    configs = [SearchConfig.itp(Strict(), kappa1=k1, kappa2=k2) for k1, k2, _ in cells]
-    rows = run_trials(Uniform(), configs, 10_000, SEED + 2, n=200_000)
-    deltas = [abs(row.mean - want) for row, (_, _, want) in zip(rows, cells)]
+    cells = list(zip(sweet_spot_rows, SWEET_SPOT))
+    deltas = [abs(row.mean - want) for row, (_, _, want) in cells]
     detail = ", ".join(
-        f"k=({k1},{k2}) mean={row.mean:.3f} (want {want}+-0.5)"
-        for row, (k1, k2, want) in zip(rows, cells)
+        f"k=({k1},{k2}) mean={row.mean:.3f} (want {want}+-0.5)" for row, (k1, k2, want) in cells
     )
-    report(max(deltas) <= 0.5, "02 sweet spot", f"{detail}, {time.time() - t0:.1f}s")
+    report(max(deltas) <= 0.5, "02 sweet spot", detail)
 
 
 def test_03_kappa_grid_shape():
@@ -247,18 +259,13 @@ def test_10_codec_order():
     report_check("10 codec order", check_codec(100_000, SEED + 10), "100000 pairs")
 
 
-def test_11_csv_determinism():
+def test_11_csv_determinism(sweet_spot_rows):
     """The sweet-spot run twice with one seed yields byte-identical CSV."""
     t0 = time.time()
-    configs = [
-        SearchConfig.itp(Strict(), kappa1=0.01, kappa2=0.83),
-        SearchConfig.itp(Strict(), kappa1=0.01, kappa2=0.99),
-        SearchConfig.itp(Strict(), kappa1=0.78, kappa2=0.99),
-    ]
     outputs = []
-    for _ in range(2):
+    for rows in (sweet_spot_rows, _sweet_spot_run()):
         buf = io.StringIO()
-        write_csv(run_trials(Uniform(), configs, 10_000, SEED + 2, n=200_000), buf)
+        write_csv(rows, buf)
         outputs.append(buf.getvalue().encode())
     report(
         outputs[0] == outputs[1],

@@ -1,6 +1,8 @@
 """Benchmark harness: fairness, determinism, aggregation, CSV output."""
 
+import hashlib
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,16 @@ from itpsearch.bench import (
     write_csv,
 )
 from itpsearch.datasets import generate, load_numeric, load_text
-from itpsearch.distributions import Gaussian, Uniform, sample_list, sample_target, trial_rng
+from itpsearch.distributions import (
+    Exponential,
+    Gaussian,
+    Step,
+    Triangular,
+    Uniform,
+    sample_list,
+    sample_target,
+    trial_rng,
+)
 from itpsearch.search import (
     Local,
     Relaxed,
@@ -243,3 +254,40 @@ def test_fixed_list_cap_hits_equal_scalar_reference():
     rows = run_trials(ds, configs, 200, 4)
     assert rows[0].cap_hits > 0
     assert _stats(rows) == _scalar_stats(ds.list, configs, 200, 4)
+
+
+# sha256 of _golden_csv(), pinned with numpy 2.4.6 (PCG64 streams and the
+# float arithmetic of every rule feed it)
+GOLDEN_SHA256 = "d69daa78ab583a3487a6ce38a7dd242720bc5fa8ef43bf25f3d476ff5878f9ee"
+
+
+def _golden_csv():
+    """CSV bytes of every row shape the library writes: sweep_n over each
+    distribution (n = 1, 2, 1000, 4097), a kappa sweep, and fixed lists."""
+    configs = [
+        SearchConfig.binary(),
+        SearchConfig.interpolation(cap=5),
+        SearchConfig.itp(Strict()),
+        SearchConfig.itp(Relaxed()),
+        SearchConfig.itp(Local()),
+    ]
+    grid = [1, 2, 1000, 4097]
+    rows = []
+    for spec in (Uniform(), Gaussian(), Exponential(), Triangular(), Step()):
+        rows += sweep_n(grid, spec, configs, 40, 31)
+    for n in grid[1:]:  # rate ln n needs n >= 2
+        rows += sweep_n([n], Exponential(rate=math.log(n)), configs, 40, 32)
+    rows += sweep_kappa([0.01, 0.34, 0.78], [0.51, 0.83, 0.99], 20_000, 40, 33)
+    rows += run_trials(generate("primes", 5000), configs, 40, 34)
+    rows += run_trials(load_text(DATA / "surnames.txt"), configs, 40, 35)
+    buf = io.StringIO()
+    write_csv(rows, buf)
+    return buf.getvalue().encode()
+
+
+def test_golden_csv_bytes():
+    digest = hashlib.sha256(_golden_csv()).hexdigest()
+    assert digest == GOLDEN_SHA256, (
+        f"CSV bytes changed: sha256 {digest} under numpy {np.__version__}; "
+        f"the pinned hash was computed with numpy 2.4.6"
+    )

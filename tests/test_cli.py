@@ -112,6 +112,29 @@ def test_sweep_n_csv(tmp_path):
     assert {row["n"] for row in rows} == {"1", "16", "64"}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-n", "--kappa1", "nan"], "kappa1 must be finite and positive, got nan"),
+        (["sweep-n", "--kappa1", "inf"], "kappa1 must be finite and positive, got inf"),
+        (["sweep-n", "--nmax-extra", "nan"], "extra must be finite and >= 0, got nan"),
+        (["sweep-n", "--nmax-extra", "inf"], "extra must be finite and >= 0, got inf"),
+        (["sweep-kappa", "--kappa1", "0.1,nan"], "kappa1 must be finite and positive, got nan"),
+        (
+            ["sweep-kappa", "--variant", "relaxed", "--nmax-extra", "inf"],
+            "extra must be finite and >= 0, got inf",
+        ),
+    ],
+)
+def test_non_finite_tuning_rejected(argv, message, capsys):
+    # NaN used to turn ITP into binary search, and an infinite budget into
+    # unbounded interpolation, with exit code 0
+    assert main(argv + ["--n", "64", "--trials", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sweep_n_requires_grid(capsys):
     with pytest.raises(SystemExit):
         main(["sweep-n"])

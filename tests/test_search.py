@@ -101,7 +101,7 @@ def test_minmax_radius_examples():
     # power-of-two n: zero slack at every level
     assert minmax_radius(0, 16, Strict().n_ref(16)) == 0.0
     # one extra relaxed iteration opens the whole bracket
-    assert minmax_radius(0, 16, Relaxed(n_max=5).n_ref(16)) == 8.0
+    assert minmax_radius(0, 16, Relaxed(extra=1.0).n_ref(16)) == 8.0
     # local rule (no anchor) with delta an exact power of two
     assert Local().n_ref(16) is None
     assert minmax_radius(3, 16, None) == 0.0
@@ -169,20 +169,20 @@ def test_sorted_list_validation():
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(kappa1=0.0)
+    for kappa1 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa1 must be finite and positive"):
+            SearchConfig(kappa1=kappa1)
     with pytest.raises(ValueError):
         SearchConfig(kappa2=0.5)
     with pytest.raises(ValueError):
         SearchConfig(kappa2=1.0)
     with pytest.raises(ValueError):
         SearchConfig(cap=0)
-    with pytest.raises(ValueError):
-        Relaxed(extra=-0.1)
-    # a fixed budget below the minmax bound is rejected at resolution time
-    with pytest.raises(ValueError):
-        Relaxed(n_max=4).n_ref(100)
-    assert Relaxed(n_max=7).n_ref(100) == 7.0
+    # NaN would turn ITP into binary search, inf into unbounded interpolation
+    for extra in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="extra must be finite and >= 0"):
+            Relaxed(extra=extra)
+    assert Relaxed(extra=0.0).n_ref(100) == 7.0
     assert Relaxed(extra=0.99).n_ref(100) == 7.99
     assert (Strict().label, Relaxed().label, Local().label) == ("strict", "relaxed", "local")
 
@@ -514,12 +514,9 @@ def _assert_batch_matches(lst, zs, config):
             assert _result_or_error(batch) == want
 
 
-# every probe rule and variant, a fractional Relaxed budget (below the
-# minmax bound on lists with n > 16, where both must raise) and small caps
+# every probe rule and variant, with small caps
 _batch_configs = st.builds(
-    dataclasses.replace,
-    st.one_of(_configs, st.just(SearchConfig.itp(Relaxed(n_max=4.5)))),
-    cap=st.sampled_from((1, 2, 3, DEFAULT_CAP)),
+    dataclasses.replace, _configs, cap=st.sampled_from((1, 2, 3, DEFAULT_CAP))
 )
 
 
@@ -566,7 +563,7 @@ def test_search_many_matches_search_on_text_keys():
         SearchConfig.binary(),
         SearchConfig.interpolation(),
         SearchConfig.interpolation(cap=3),
-        SearchConfig.itp(Relaxed(n_max=19.37), cap=2),
+        SearchConfig.itp(Relaxed(extra=1.37), cap=2),
     ]
     configs += [
         SearchConfig.itp(variant, kappa1=k1, kappa2=k2)
@@ -592,11 +589,8 @@ def test_search_many_edges():
         _assert_batch_matches(lst, keys + keys, config)
         k_star, queries, capped = search_many(lst, [], config)
         assert k_star.size == queries.size == capped.size == 0
-    # values[0] costs no query, and no budget check, as in search
-    tight = SearchConfig.itp(Relaxed(n_max=1.0))
-    assert search_many(lst, [0.1] * 12, tight)[1].tolist() == [0] * 12
-    with pytest.raises(ValueError, match="below minmax bound"):
-        search_many(lst, [0.1] * 12 + [0.15], tight)
+    # values[0] costs no query, as in search
+    assert search_many(lst, [0.1] * 12, SearchConfig.itp())[1].tolist() == [0] * 12
     with pytest.raises(ValueError, match="one-dimensional"):
         search_many(lst, [[0.2, 0.3]], SearchConfig.binary())
     # the first target outside the range is reported, as search reports it
