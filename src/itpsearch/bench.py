@@ -12,9 +12,11 @@ import statistics
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .datasets import Dataset
-from .distributions import DistributionSpec, Uniform, sample_list, sample_target, trial_rng
-from .search import DEFAULT_CAP, SearchConfig, SortedList, Strategy, Strict, search, search_many
+from .distributions import DistributionSpec, Uniform, fill_list, sample_target, trial_rng
+from .search import DEFAULT_CAP, SearchConfig, SortedList, Strategy, Strict, search_block
 
 __all__ = [
     "TrialStats",
@@ -32,6 +34,10 @@ TABLE1_KAPPA1 = (0.01, 0.12, 0.23, 0.34, 0.45, 0.56, 0.67, 0.78)
 TABLE1_KAPPA2 = (0.51, 0.56, 0.62, 0.67, 0.72, 0.78, 0.83, 0.88, 0.94, 0.99)
 
 Source = Union[DistributionSpec, Dataset, SortedList]
+
+# Distribution trials are drawn into a key block of at most this many bytes
+# (at least one list): 3 lists of 2e5 keys, hundreds of lists up to 1e4 keys.
+BLOCK_BYTES = 5 << 20
 
 
 @dataclass(frozen=True)
@@ -80,9 +86,11 @@ def run_trials(
 
     Distribution sources draw a fresh list and target each trial; dataset
     and plain-list sources keep the list fixed and draw only the target.
-    On a fixed list every target is drawn first and each strategy searches
-    them all in one ``search_many`` call, whose outcomes equal ``search``'s.
-    Capped runs count at the cap value and increment cap_hits.
+    Every strategy's searches run in lockstep lanes through ``search_block``,
+    whose outcomes equal ``search``'s: a fixed list is one row carrying every
+    trial's target, and distribution lists are drawn into blocks of
+    ``BLOCK_BYTES``, one row and one target per trial.  Capped runs count at
+    the cap value and increment cap_hits.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -99,23 +107,29 @@ def run_trials(
         n = fixed.n
         lo, hi = fixed[0], fixed[n]
         zs = [sample_target(lo, hi, trial_rng(master_seed, t)) for t in range(trials)]
-        counts, cap_hits = [], []
-        for config in configs:
-            _, queries, capped = search_many(fixed, zs, config)
-            counts.append(queries.tolist())
-            cap_hits.append(int(capped.sum()))
+        _, queries, capped = search_block(fixed.values[np.newaxis], [zs], configs)
+        queries, capped = queries[:, 0], capped[:, 0]
     else:
-        counts = [[0] * trials for _ in configs]
-        cap_hits = [0] * len(configs)
-        for t in range(trials):
-            rng = trial_rng(master_seed, t)
-            lst = sample_list(source, n, rng)
-            z = sample_target(lst[0], lst[n], rng)
-            for i, config in enumerate(configs):
-                outcome = search(lst, z, config)
-                counts[i][t] = outcome.queries
-                if outcome.capped:
-                    cap_hits[i] += 1
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        block_rows = min(trials, max(1, BLOCK_BYTES // (8 * (n + 1))))
+        block = np.empty((block_rows, n + 1))
+        zs = np.empty((block_rows, 1))
+        queries = np.empty((len(configs), trials), dtype=np.int64)
+        capped = np.empty((len(configs), trials), dtype=bool)
+        for first in range(0, trials, block_rows):
+            chunk = range(first, min(first + block_rows, trials))
+            for r, t in enumerate(chunk):
+                rng = trial_rng(master_seed, t)
+                fill_list(source, block[r], rng)
+                zs[r, 0] = sample_target(float(block[r, 0]), float(block[r, n]), rng)
+            _, chunk_queries, chunk_capped = search_block(
+                block[: len(chunk)], zs[: len(chunk)], configs
+            )
+            queries[:, first : chunk.stop] = chunk_queries[:, :, 0]
+            capped[:, first : chunk.stop] = chunk_capped[:, :, 0]
+    counts = queries.tolist()
+    cap_hits = capped.sum(axis=1).tolist()
 
     rows = []
     for i, config in enumerate(configs):

@@ -63,11 +63,12 @@ def _comma_list(cast):
 
 
 def _variant(args):
+    relaxed = Relaxed(extra=args.nmax_extra)  # checks --nmax-extra under every variant
     if args.variant == "strict":
         return Strict()
     if args.variant == "local":
         return Local()
-    return Relaxed(extra=args.nmax_extra)
+    return relaxed
 
 
 def _strategies(args) -> list[SearchConfig]:

@@ -29,6 +29,7 @@ __all__ = [
     "as_rng",
     "trial_rng",
     "sample_list",
+    "fill_list",
     "sample_target",
 ]
 
@@ -139,11 +140,17 @@ def sample_list(spec: DistributionSpec, n: int, seed) -> SortedList:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values = np.empty(n + 1)
-    values[0] = 0.0
-    values[n] = 1.0
-    spec.fill(values[1:n], as_rng(seed))
-    values[1:n].sort()
+    fill_list(spec, values, as_rng(seed))
     return SortedList(values, validate=False)
+
+
+def fill_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generator) -> None:
+    """Draw a benchmark list into ``values`` (n + 1 >= 2 slots) from ``rng``:
+    the ends pinned at 0 and 1, the interior drawn and then sorted in place."""
+    values[0] = 0.0
+    values[-1] = 1.0
+    spec.fill(values[1:-1], rng)
+    values[1:-1].sort()
 
 
 def sample_target(lo: float, hi: float, seed) -> float:

@@ -12,9 +12,10 @@ an exact hit collapses the bracket).  Three probe rules are provided:
   binary worst-case bound while probing (almost) like interpolation.
 
 Each rule is defined once, by ``make_probe_fn``; ``search`` and the oracles
-both drive it.  ``search_many`` searches many targets on one list in lockstep
-with numpy; its array form of each rule repeats the scalar arithmetic
-operation by operation, and differential tests hold the two equal.  Endpoint
+both drive it.  ``search_block`` searches lanes of (list, target, config) in
+lockstep with numpy, and ``search_many`` is its one-list, one-config case;
+its array form of each rule repeats the scalar arithmetic operation by
+operation, and differential tests hold the two equal.  Endpoint
 values are cached with the bracket, so a search is charged one query per
 interior probe only.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "make_probe_fn",
     "search",
     "search_many",
+    "search_block",
 ]
 
 DEFAULT_KAPPA1 = 0.01
@@ -328,7 +330,7 @@ def _descend(v, z, probe, cap, a, b, j, va, vb, trace):
     iteration j; each probe is appended to ``trace``.
 
     Returns ``(k_star, queries, capped)``.  ``search`` runs it from the start,
-    ``search_many`` to finish the lanes its lockstep loop hands over.
+    ``_lockstep`` to finish the lanes it hands over.
     """
     while b - a > 1:
         if j >= cap:
@@ -372,9 +374,10 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
     return SearchOutcome(k_star=k_star, queries=queries, trace=tuple(trace), capped=capped)
 
 
-# search_many hands its last lanes to the scalar loop once this few remain:
-# a lockstep iteration costs tens of microseconds however few lanes are live,
-# and interpolation's slowest targets take ten times its median probe count.
+# search_block hands a group's last lanes to the scalar loop once this few
+# remain: a lockstep iteration costs tens of microseconds however few lanes
+# are live, and interpolation's slowest targets take ten times its median
+# probe count.
 SCALAR_FINISH = 8
 
 
@@ -383,93 +386,178 @@ def search_many(lst: SortedList, zs, config: SearchConfig):
 
     Returns ``(k_star, queries, capped)`` arrays that equal, lane by lane, the
     fields of ``search(lst, z, config)``, and raises the same ValueError for
-    the first target outside the key range.  All live brackets advance one
-    probe per iteration with numpy and retire as they close; the last
-    ``SCALAR_FINISH`` lanes finish in the scalar loop.  Each probe rule
-    repeats the arithmetic of ``make_probe_fn``'s rule operation by
-    operation, so every probe lands on the same index.
+    the first target outside the key range.  It is ``search_block`` with one
+    row and one config.
     """
-    v = lst.values
-    n = lst.n
-    v0 = float(v[0])
-    vn = float(v[n])
     zs = np.asarray(zs, dtype=np.float64)
     if zs.ndim != 1:
         raise ValueError("targets must be one-dimensional")
+    k_star, queries, capped = search_block(lst.values[np.newaxis], zs[np.newaxis], [config])
+    return k_star[0, 0], queries[0, 0], capped[0, 0]
+
+
+def search_block(block, zs, configs: Sequence[SearchConfig]):
+    """``search`` for every (config, row, target) lane at once, without traces.
+
+    ``block`` is an ``(R, n + 1)`` array whose rows are sorted key lists, and
+    row r of the ``(R, T)`` array ``zs`` holds the targets to search on row r.
+    Returns ``(k_star, queries, capped)`` arrays of shape ``(C, R, T)``: entry
+    ``[c, r, t]`` equals the field of ``search(SortedList(block[r]), zs[r, t],
+    configs[c])``.  The first target (row by row) outside its row's key range
+    raises search's ValueError.
+
+    The configs are grouped by probe rule (strategy, and variant for ITP), so
+    a group's lanes share the radius anchor while their kappas and caps may
+    differ.  A group's live brackets advance one probe per iteration with
+    numpy and retire as they close or reach their cap; its last
+    ``SCALAR_FINISH`` lanes finish in the scalar loop, where a group of no
+    more lanes runs from the start.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    zs = np.asarray(zs, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] < 2:
+        raise ValueError("keys must be a 2-D block of rows of at least 2 values")
+    rows, size = block.shape
+    n = size - 1
+    if zs.ndim != 2 or zs.shape[0] != rows:
+        raise ValueError("targets must be a 2-D array with one row per key row")
+    v0 = block[:, :1]
+    vn = block[:, n:]
     outside = ~((v0 <= zs) & (zs <= vn))
     if outside.any():
-        z = zs[np.argmax(outside)].item()
-        raise ValueError(f"target {z} outside key range [{v0}, {vn}]")
-    k_star = np.zeros(zs.size, dtype=np.int64)
-    queries = np.zeros(zs.size, dtype=np.int64)
-    capped = np.zeros(zs.size, dtype=bool)
-
-    lane = np.flatnonzero(zs != v0)  # z == values[0] costs no query
-    if lane.size == 0:
-        return k_star, queries, capped
-    probe = make_probe_fn(config, n)
-    rule = _lockstep_rule(config, n)
-    z = zs[lane]
-    a = np.zeros(lane.size, dtype=np.int64)
-    b = np.full(lane.size, n, dtype=np.int64)
-    va = np.full(lane.size, v0)
-    vb = np.full(lane.size, vn)
-    j = 0
-    # every lane in the loop is live (b - a > 1); n == 1 leaves them all to
-    # the scalar loop, which closes them at once
-    while n > 1 and j < config.cap and lane.size > SCALAR_FINISH:
-        k = rule(a, b, j, va, vb, z)
-        v_k = v[k]
-        above = v_k > z
-        below = v_k < z
-        b = np.where(above, k, np.where(below, b, k + 1))  # exact hit: cell (k, k+1)
-        a = np.where(above, a, k)
-        vb = np.where(above, v_k, vb)
-        va = np.where(below, v_k, va)
-        j += 1
-        live = b - a > 1
-        if not live.all():
-            k_star[lane[~live]] = a[~live]
-            queries[lane[~live]] = j
-            lane, z, a, b, va, vb = lane[live], z[live], a[live], b[live], va[live], vb[live]
-    for i, zi, ai, bi, vai, vbi in zip(
-        lane.tolist(), z.tolist(), a.tolist(), b.tolist(), va.tolist(), vb.tolist()
-    ):
-        k_star[i], queries[i], capped[i] = _descend(
-            v, zi, probe, config.cap, ai, bi, j, vai, vbi, []
+        r, t = np.unravel_index(np.argmax(outside), zs.shape)
+        raise ValueError(
+            f"target {zs[r, t].item()} outside key range [{v0[r, 0].item()}, {vn[r, 0].item()}]"
         )
+    shape = (len(configs), rows, zs.shape[1])
+    k_star = np.zeros(shape, dtype=np.int64)
+    queries = np.zeros(shape, dtype=np.int64)
+    capped = np.zeros(shape, dtype=bool)
+
+    searched = np.flatnonzero(zs != v0)  # z == values[0] costs no query
+    groups: dict = {}
+    for i, config in enumerate(configs):
+        variant = config.variant if config.strategy is Strategy.ITP else None
+        groups.setdefault((config.strategy, variant), []).append(i)
+    flat = np.ascontiguousarray(block).reshape(-1)
+    out = (k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1))
+    # a lane's id is its index into the flattened outputs: (config, row, target)
+    for members in groups.values():
+        if n > 1 and len(members) * searched.size > SCALAR_FINISH:
+            c = np.repeat(members, searched.size)
+            lane = c * zs.size + np.concatenate((searched,) * len(members))
+            base = np.concatenate((searched // zs.shape[1] * size,) * len(members))
+            z = np.concatenate((zs.reshape(-1)[searched],) * len(members))
+            _lockstep(flat, n, configs, c, lane, base, z, out)
+        else:  # few lanes, or n == 1 where every bracket starts closed
+            lanes = []
+            for s in searched.tolist():
+                start = s // zs.shape[1] * size
+                va, vb, zi = flat[start].item(), flat[start + n].item(), zs.flat[s].item()
+                lanes += [(i * zs.size + s, i, start, zi, 0, n, va, vb) for i in members]
+            _finish(flat, n, configs, lanes, 0, out)
     return k_star, queries, capped
 
 
-def _lockstep_rule(config: SearchConfig, n: int):
-    """``make_probe_fn``'s rule over arrays of brackets sharing iteration j.
+def _lockstep(flat, n, configs, c, lane, base, z, out):
+    """Run more than ``SCALAR_FINISH`` lanes of configs that share one probe
+    rule to the end, on lists of n > 1 keys.
+
+    Lane i searches ``z[i]`` with ``configs[c[i]]`` on the keys
+    ``flat[base[i] : base[i] + n + 1]`` and writes its (k*, queries, capped)
+    at index ``lane[i]`` of the three ``out`` arrays.  Its last
+    ``SCALAR_FINISH`` lanes finish in ``_descend``.
+    """
+    k_out, q_out, capped_out = out
+    rule = _lockstep_rule(configs, c[0], n)
+    caps = np.array([config.cap for config in configs])
+    first_cap = int(caps[c].min())
+    a = np.zeros(lane.size, dtype=np.int64)
+    b = np.full(lane.size, n, dtype=np.int64)
+    va = flat[base]
+    vb = flat[base + n]
+    j = 0
+    while lane.size > SCALAR_FINISH:
+        k = rule(a, b, j, va, vb, z, c)
+        v_k = flat[base + k]
+        above = v_k > z
+        below = v_k < z
+        # the bracket arrays are this loop's own copies: update them in place
+        np.putmask(b, above, k)
+        np.putmask(vb, above, v_k)
+        np.putmask(a, ~above, k)
+        np.putmask(va, below, v_k)
+        np.putmask(b, v_k == z, k + 1)  # exact hit: the cell (k, k+1)
+        j += 1
+        # retire closed brackets, then open ones whose cap is spent, as _descend does
+        stop = b - a <= 1
+        if j >= first_cap:
+            spent = ~stop & (caps[c] <= j)
+            capped_out[lane[spent]] = True
+            stop |= spent
+        if stop.any():
+            done = lane[stop]
+            k_out[done] = a[stop]
+            q_out[done] = j
+            keep = ~stop
+            lane, c, base, z = lane[keep], c[keep], base[keep], z[keep]
+            a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+    lanes = zip(
+        lane.tolist(), c.tolist(), base.tolist(), z.tolist(),
+        a.tolist(), b.tolist(), va.tolist(), vb.tolist(),
+    )  # fmt: skip
+    _finish(flat, n, configs, lanes, j, out)
+
+
+def _finish(flat, n, configs, lanes, j, out):
+    """Run each lane (id, config index, row start, z, a, b, va, vb) to the
+    end in ``_descend``, from iteration j, and write its outcome to ``out``."""
+    k_out, q_out, capped_out = out
+    probes: dict = {}
+    for i, ci, start, zi, ai, bi, vai, vbi in lanes:
+        config = configs[ci]
+        if ci not in probes:
+            probes[ci] = make_probe_fn(config, n)
+        k_out[i], q_out[i], capped_out[i] = _descend(
+            flat[start : start + n + 1], zi, probes[ci], config.cap, ai, bi, j, vai, vbi, []
+        )
+
+
+def _lockstep_rule(configs: Sequence[SearchConfig], i: int, n: int):
+    """``make_probe_fn``'s rule for the strategy and variant of ``configs[i]``,
+    over arrays of brackets sharing iteration j; lane by lane, ``c`` picks
+    the config whose kappas apply.
 
     Each step is the same IEEE operation as in the scalar rule.  The one
     exception numpy cannot match is ``delta ** kappa2``: ``np.power`` differs
-    from C ``pow`` in the last bit for about 5% of deltas, so the truncation
-    step is taken with Python floats, lane by lane.
+    from C ``pow`` in the last bit for about 5% of deltas, so that power is
+    taken with Python's ``pow``, lane by lane (the product with kappa1 is one
+    IEEE multiply in numpy as in Python).
     """
+    config = configs[i]
     if config.strategy is Strategy.BINARY:
-        return lambda a, b, j, va, vb, z: (a + b) // 2
+        return lambda a, b, j, va, vb, z, c: (a + b) // 2
 
     if config.strategy is Strategy.INTERPOLATION:
-        def interpolation(a, b, j, va, vb, z):
+        def interpolation(a, b, j, va, vb, z, c):
             x_f = _interpolation_points(a, b, va, vb, z)
             return _round_toward_midpoints(x_f, (a + b) / 2, a, b)
 
         return interpolation
 
-    kappa1, kappa2 = config.kappa1, config.kappa2
     n_ref = config.variant.n_ref(n)
+    kappa1s = np.array([config.kappa1 for config in configs])
+    kappa2s = np.array([config.kappa2 for config in configs])
 
-    def itp(a, b, j, va, vb, z):
+    def itp(a, b, j, va, vb, z, c):
         x_half = (a + b) / 2
         delta = b - a
         x_f = _interpolation_points(a, b, va, vb, z)
         # truncate
         gap = x_half - x_f
         sigma = np.sign(gap)
-        step = np.array([kappa1 * d**kappa2 for d in delta.tolist()])
+        powers = map(pow, delta.tolist(), kappa2s[c].tolist())
+        step = kappa1s[c] * np.fromiter(powers, np.float64, delta.size)
         x_t = x_f + sigma * step
         short = np.where(sigma > 0, x_t < x_half, x_t > x_half)
         x_t = np.where((step <= np.abs(gap)) & short, x_t, x_half)

@@ -4,10 +4,12 @@ import hashlib
 import io
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from itpsearch import bench
 from itpsearch.bench import (
     CSV_HEADER,
     TABLE1_KAPPA1,
@@ -208,23 +210,37 @@ def test_csv_format_and_reproducibility():
     assert again.getvalue() == text
 
 
+def _summary(n, outcomes):
+    """(n, trials, mean, median, max, cap_hits) of one config's outcomes."""
+    queries = [o.queries for o in outcomes]
+    return (
+        n,
+        len(outcomes),
+        sum(queries) / len(outcomes),
+        float(np.median(queries)),
+        max(queries),
+        sum(o.capped for o in outcomes),
+    )
+
+
 def _scalar_stats(lst, configs, trials, seed):
     """Per config (n, trials, mean, median, max, cap_hits) from one scalar
     search per trial: the reference for run_trials on a fixed list."""
     zs = [sample_target(lst[0], lst[lst.n], trial_rng(seed, t)) for t in range(trials)]
-    stats = []
-    for config in configs:
-        outcomes = [search(lst, z, config) for z in zs]
-        queries = [o.queries for o in outcomes]
-        stats.append((
-            lst.n,
-            trials,
-            sum(queries) / trials,
-            float(np.median(queries)),
-            max(queries),
-            sum(o.capped for o in outcomes),
-        ))
-    return stats
+    return [_summary(lst.n, [search(lst, z, config) for z in zs]) for config in configs]
+
+
+def _scalar_sampled_stats(spec, n, configs, trials, seed):
+    """The same from a fresh list and target per trial, drawn on the trial's
+    stream: the reference for run_trials on a distribution."""
+    outcomes = [[] for _ in configs]
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        lst = sample_list(spec, n, rng)
+        z = sample_target(lst[0], lst[n], rng)
+        for out, config in zip(outcomes, configs):
+            out.append(search(lst, z, config))
+    return [_summary(n, out) for out in outcomes]
 
 
 def _stats(rows):
@@ -254,6 +270,31 @@ def test_fixed_list_cap_hits_equal_scalar_reference():
     rows = run_trials(ds, configs, 200, 4)
     assert rows[0].cap_hits > 0
     assert _stats(rows) == _scalar_stats(ds.list, configs, 200, 4)
+
+
+SAMPLED_CONFIGS = FIVE_KINDS + (
+    SearchConfig.binary(cap=3),
+    SearchConfig.interpolation(cap=2),
+    SearchConfig.itp(Strict(), kappa1=0.5, kappa2=0.9, cap=4),
+)
+
+
+# the five specs, and the concentrated Exponential(rate=ln n) for n >= 2
+SAMPLED_CASES = [
+    pytest.param(spec, n, id=f"{type(spec).__name__}-{n}")
+    for spec in (Uniform(), Gaussian(), Exponential(), Triangular(), Step())
+    for n in (1, 2, 17, 1000)
+] + [pytest.param(Exponential(rate=math.log(n)), n, id=f"ExpLnN-{n}") for n in (2, 17, 1000)]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7])
+@pytest.mark.parametrize("spec, n", SAMPLED_CASES)
+def test_sampled_rows_equal_scalar_reference(spec, n, rows):
+    # blocks of `rows` lists; 5 and 23 trials leave a short last block
+    with mock.patch.object(bench, "BLOCK_BYTES", rows * 8 * (n + 1)):
+        for trials in (5, 23):
+            got = run_trials(spec, SAMPLED_CONFIGS, trials, 13, n=n)
+            assert _stats(got) == _scalar_sampled_stats(spec, n, SAMPLED_CONFIGS, trials, 13)
 
 
 # sha256 of _golden_csv(), pinned with numpy 2.4.6 (PCG64 streams and the

@@ -124,11 +124,17 @@ def test_sweep_n_csv(tmp_path):
             ["sweep-kappa", "--variant", "relaxed", "--nmax-extra", "inf"],
             "extra must be finite and >= 0, got inf",
         ),
+        (["sweep-kappa", "--nmax-extra", "nan"], "extra must be finite and >= 0, got nan"),
+        (
+            ["sweep-n", "--variant", "local", "--nmax-extra", "-5"],
+            "extra must be finite and >= 0, got -5.0",
+        ),
     ],
 )
 def test_non_finite_tuning_rejected(argv, message, capsys):
     # NaN used to turn ITP into binary search, and an infinite budget into
-    # unbounded interpolation, with exit code 0
+    # unbounded interpolation, with exit code 0; --nmax-extra is checked
+    # under every variant, not only the relaxed one that uses it
     assert main(argv + ["--n", "64", "--trials", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -12,6 +12,7 @@ from itpsearch.distributions import (
     Triangular,
     Uniform,
     as_rng,
+    fill_list,
     sample_list,
     sample_target,
     trial_rng,
@@ -39,6 +40,25 @@ def test_sample_list_structure(spec):
     assert v[-1] == 1.0
     assert np.all(np.diff(v) >= 0)
     assert np.all((v[1:-1] > 0.0) & (v[1:-1] < 1.0))
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [pytest.param(spec, n, id=f"{type(spec).__name__}-{n}")
+     for spec in ALL_SPECS for n in (1, 2, 17, 1000)]
+    + [pytest.param(Exponential(rate=math.log(n)), n, id=f"ExpLnN-{n}") for n in (2, 17, 1000)],
+)  # fmt: skip
+def test_fill_list_row_equals_sample_list(spec, n):
+    # a row of a block in use, drawn on a trial stream, gets sample_list's
+    # keys and leaves the stream where sample_list leaves it
+    block = np.full((3, n + 1), np.nan)
+    rng = trial_rng(21, 4)
+    fill_list(spec, block[1], rng)
+    ref_rng = trial_rng(21, 4)
+    lst = sample_list(spec, n, ref_rng)
+    assert block[1].tolist() == lst.values.tolist()
+    assert np.isnan(block[[0, 2]]).all()
+    assert rng.random() == ref_rng.random()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)

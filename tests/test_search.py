@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itpsearch.bench import TABLE1_KAPPA1, TABLE1_KAPPA2
+from itpsearch.distributions import Exponential, Gaussian, Step, Uniform, sample_list
 from itpsearch.keycodec import encode_base27
 from itpsearch.oracle import linear_scan
 from itpsearch.search import (
@@ -29,6 +30,7 @@ from itpsearch.search import (
     project,
     round_toward_midpoint,
     search,
+    search_block,
     search_many,
     truncate,
 )
@@ -436,21 +438,22 @@ def test_probe_rule_interior(a, width, z_frac, config):
 
 
 @st.composite
-def _adversarial_values(draw):
-    """Sorted keys that stress the rules' arithmetic.
+def _adversarial_values(draw, size=st.integers(2, 41)):
+    """Sorted keys that stress the rules' arithmetic; ``size`` draws how many.
 
     Integer grids with zero steps give plateaus and all-equal runs, a scale
     of 5e-324 makes every step subnormal, and floats drawn up to +-1.7e308
     give key spans that overflow float64 differences.
     """
+    count = draw(size)
     if draw(st.booleans()):
-        steps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+        steps = draw(st.lists(st.integers(0, 3), min_size=count - 1, max_size=count - 1))
         scale = draw(st.sampled_from((5e-324, 1.0, 1e300)))
         base = draw(st.sampled_from((0.0, -1.0, 1e308, -HUGE)))
         return [base + scale * i for i in itertools.accumulate(steps, initial=0)]
-    values = draw(st.lists(st.floats(-HUGE, HUGE), min_size=2, max_size=40))
-    if draw(st.booleans()):
-        values += [-HUGE, HUGE]
+    values = draw(st.lists(st.floats(-HUGE, HUGE), min_size=count, max_size=count))
+    if count >= 4 and draw(st.booleans()):
+        values[:2] = [-HUGE, HUGE]
     return sorted(v + 0.0 for v in values)  # -0.0 + 0.0 is 0.0
 
 
@@ -630,3 +633,121 @@ def test_search_many_midpoint_ties():
     for lst, z, config in cases:
         assert search(lst, z, config).k_star == lst.n // 2
         _assert_batch_matches(lst, [z] * (search_module.SCALAR_FINISH + 1), config)
+
+
+# ---------------------------------------------------------------------------
+# search_block against search: lanes over several lists and configs
+
+
+def _assert_block_matches(block, zs, configs):
+    """search_block gives search's (k*, queries, capped) on every (config,
+    row, target) lane, or its error: in lockstep to the end, with the scalar
+    finish, and with every lane in the scalar loop."""
+    lists = [SortedList(row, validate=False) for row in block]
+
+    def scalar():
+        return [
+            [[(o.k_star, o.queries, o.capped) for o in (search(lst, z, c) for z in row_zs)]
+             for lst, row_zs in zip(lists, zs)]
+            for c in configs
+        ]  # fmt: skip
+
+    def batch():
+        fields = [f.tolist() for f in search_block(block, zs, configs)]
+        return [
+            [list(zip(*(f[i][r] for f in fields))) for r in range(len(lists))]
+            for i in range(len(configs))
+        ]
+
+    want = _result_or_error(scalar)
+    for finish in (0, search_module.SCALAR_FINISH, np.size(zs) * len(configs)):
+        with mock.patch.object(search_module, "SCALAR_FINISH", finish):
+            assert _result_or_error(batch) == want
+
+
+@st.composite
+def _adversarial_block(draw):
+    """2 to 4 adversarial key lists of one size, each searched for all of its
+    keys and for the same number of floats in its own key range."""
+    size = draw(st.integers(2, 41))
+    rows = [draw(_adversarial_values(st.just(size))) for _ in range(draw(st.integers(2, 4)))]
+    spread = draw(st.integers(0, 12))
+    zs = [
+        row + draw(st.lists(st.floats(row[0], row[-1]), min_size=spread, max_size=spread))
+        for row in rows
+    ]
+    return np.array(rows), np.array(zs)
+
+
+@given(case=_adversarial_block(), configs=st.lists(_batch_configs, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)  # up to 1272 lanes, each searched four times
+def test_search_block_matches_search_adversarial(case, configs):
+    block, zs = case
+    _assert_block_matches(block, zs, configs)
+
+
+def test_search_block_mixed_lanes():
+    # rows of one n drawn from different shapes; every variant's group holds
+    # lanes with different kappas and caps
+    n = 3000
+    specs = (Uniform(), Gaussian(), Exponential(rate=math.log(n)), Step())
+    block = np.array([sample_list(spec, n, 40 + i).values for i, spec in enumerate(specs)])
+    rng = np.random.default_rng(41)
+    zs = np.hstack([
+        rng.random((len(specs), 60)),  # each row spans [0, 1]
+        block[:, rng.integers(0, n + 1, 10)],
+        block[:, [0, n]],
+    ])  # fmt: skip
+    caps = (1, 2, 3, DEFAULT_CAP)
+    configs = [SearchConfig.binary(cap) for cap in caps]
+    configs += [SearchConfig.interpolation(cap) for cap in caps]
+    configs += [
+        SearchConfig.itp(variant, kappa1=k1, kappa2=k2, cap=cap)
+        for variant in (Strict(), Relaxed(), Relaxed(extra=0.5), Local())
+        for k1, k2, cap in zip(TABLE1_KAPPA1, TABLE1_KAPPA2, caps + caps)
+    ]
+    _assert_block_matches(block, zs, configs)
+
+
+def test_search_block_edges():
+    block = np.array([[0.0, 0.2, 0.2, 0.5, 1.0], [-3.0, -1.0, 0.0, 0.0, 2.0]])
+    configs = [SearchConfig.binary(), SearchConfig.itp(Local(), cap=1)]
+    # every key of each row, both ends and the plateaus included
+    _assert_block_matches(block, block, configs)
+    # no targets, and a row's own values[0], which costs no query
+    assert search_block(block, np.empty((2, 0)), configs)[0].shape == (2, 2, 0)
+    queries = search_block(block, [[0.0, 0.0], [-3.0, -3.0]], configs)[1]
+    assert queries.tolist() == [[[0, 0], [0, 0]]] * 2
+    # n == 1 closes every bracket at once
+    assert search_block([[0.0, 1.0]] * 3, [[0.5]] * 3, configs)[1].sum() == 0
+    with pytest.raises(ValueError, match="2-D block"):
+        search_block(block[0], [[0.1]], configs)
+    with pytest.raises(ValueError, match="one row per key row"):
+        search_block(block, [0.1, 0.2], configs)
+    with pytest.raises(ValueError, match="one row per key row"):
+        search_block(block, [[0.1]] * 3, configs)
+    # the first target outside its row's range, row by row, as search reports it
+    with pytest.raises(ValueError, match=r"target -1\.0 outside key range \[0\.0, 1\.0\]"):
+        search_block(block, [[0.1, -1.0], [5.0, 0.0]], configs)
+    with pytest.raises(ValueError, match=r"target 5\.0 outside key range \[-3\.0, 2\.0\]"):
+        search_block(block, [[0.1, 0.5], [5.0, 0.0]], configs)
+
+
+def test_search_block_midpoint_ties():
+    # one block per n: row r holds the tie case of kappa2 = TABLE1_KAPPA2[r]
+    # and config r is its kappa pair, so the group's kappas differ per lane;
+    # the lanes (r, r) probe the midpoint only if the step has C pow's last bit
+    blocks = 0
+    for n in range(1001, 1201, 2):
+        cases = [_midpoint_tie(n, k2) for k2 in TABLE1_KAPPA2]
+        cases = [case for case in cases if case is not None]
+        if len(cases) < 2:
+            continue
+        blocks += 1
+        block = np.array([lst.values for lst, _, _ in cases])
+        zs = np.array([[z] for _, z, _ in cases])
+        configs = [config for _, _, config in cases]
+        k_star = search_block(block, zs, configs)[0]
+        assert k_star[range(len(cases)), range(len(cases)), 0].tolist() == [n // 2] * len(cases)
+        _assert_block_matches(block, zs, configs)
+    assert blocks > 90
