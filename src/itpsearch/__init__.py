@@ -18,7 +18,7 @@ from .distributions import (
     sample_target,
     trial_rng,
 )
-from .keycodec import MAX_DIGITS, encode_base27, normalize
+from .keycodec import MAX_DIGITS, encode_base27, encode_lines, normalize
 from .oracle import linear_scan, minimax_depth, strategy_worst_depth
 from .search import (
     DEFAULT_CAP,
@@ -60,6 +60,7 @@ __all__ = [
     "Triangular",
     "Uniform",
     "encode_base27",
+    "encode_lines",
     "generate",
     "linear_scan",
     "load_numeric",

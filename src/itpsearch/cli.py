@@ -24,7 +24,7 @@ from .distributions import (
     sample_list,
     sample_target,
 )
-from .keycodec import MAX_DIGITS, encode_base27, normalize
+from .keycodec import MAX_DIGITS, encode_lines, normalize
 from .search import (
     DEFAULT_CAP,
     DEFAULT_KAPPA1,
@@ -194,9 +194,10 @@ def check_codec(pairs: int, seed: int):
     chars = rng.integers(0, len(alphabet), size=int(lengths.sum()))
     words = np.split(chars, lengths.cumsum()[:-1])
     strings = ["".join(alphabet[c] for c in word) for word in words]
-    for s, t in zip(strings[::2], strings[1::2]):
+    # every string ends in "\n", so an empty last string is still a line
+    codes = encode_lines("".join(s + "\n" for s in strings)).tolist()
+    for s, t, es, et in zip(strings[::2], strings[1::2], codes[::2], codes[1::2]):
         ks, kt = normalize(s)[:MAX_DIGITS], normalize(t)[:MAX_DIGITS]
-        es, et = encode_base27(s), encode_base27(t)
         if (ks < kt) != (es < et) or (ks == kt) != (es == et):
             return f"order broken for {s!r} vs {t!r}"
     return None

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .keycodec import encode_base27
+from .keycodec import encode_lines
 from .search import SortedList
 
 __all__ = ["Dataset", "load_numeric", "load_text", "generate", "GENERATOR_KINDS"]
@@ -45,7 +45,7 @@ def load_numeric(path, column: int | None = None) -> Dataset:
     """Parse one decimal number per row (or per row of a CSV column)."""
     path = Path(path)
     raw: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         if column is not None and column < 1:
             raise ValueError(f"column is 1-based, got {column}")
         for lineno, row in enumerate(fh if column is None else csv.reader(fh), start=1):
@@ -66,12 +66,11 @@ def load_numeric(path, column: int | None = None) -> Dataset:
 def load_text(path) -> Dataset:
     """Encode one key per line via base-27; codec collisions merge."""
     path = Path(path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if not text:
         raise ValueError(f"{path}: no keys")
-    raw = np.asarray([encode_base27(line) for line in lines])
-    return _finish(path.stem, raw)
+    return _finish(path.stem, encode_lines(text))
 
 
 def _first_primes(count: int) -> np.ndarray:

@@ -1,18 +1,23 @@
 """Order-preserving text keys: letters to a base-27 fraction in [0, 1).
 
-Keys are normalized to bare lowercase letters (case folded, everything else
-dropped), then read as base-27 digits with 'a'..'z' mapping to 1..26 and the
-empty string to 0.  Lexicographic order of normalized keys matches numeric
-order of the encodings as long as the keys differ within the first
-``MAX_DIGITS`` letters; beyond that the encodings collide and the keys are
-treated as equal.
+Keys are normalized to bare lowercase letters (lowered with ``str.lower``,
+everything else dropped), then read as base-27 digits with 'a'..'z' mapping
+to 1..26 and the empty string to 0.  Lexicographic order of normalized keys
+matches numeric order of the encodings as long as the keys differ within the
+first ``MAX_DIGITS`` letters; beyond that the encodings collide and the keys
+are treated as equal.
+
+``encode_base27`` encodes one key and is the reference; ``encode_lines``
+encodes every line of a text at once with numpy, bit-identically.
 """
 
 from __future__ import annotations
 
 import sys
 
-__all__ = ["MAX_DIGITS", "normalize", "encode_base27"]
+import numpy as np
+
+__all__ = ["MAX_DIGITS", "normalize", "encode_base27", "encode_lines"]
 
 
 def _max_digits() -> int:
@@ -28,9 +33,24 @@ MAX_DIGITS = _max_digits()
 
 _DENOM = 27**MAX_DIGITS
 
+# The line breaks of str.splitlines(); "\r\n" counts as one.
+_ASCII_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
+_WIDE_BREAKS = "\x85\u2028\u2029"
+# bytes.translate: a..z become digits 1..26 and a line break becomes 0;
+# every other byte is deleted.
+_KEPT = b"abcdefghijklmnopqrstuvwxyz" + _ASCII_BREAKS.encode()
+_TO_DIGITS = bytes.maketrans(_KEPT, bytes(range(1, 27)) + bytes(len(_ASCII_BREAKS)))
+_NOT_DIGITS = bytes(b for b in range(256) if b not in _KEPT)
+
 
 def normalize(text: str) -> str:
-    """Case-fold and keep only a..z; punctuation, digits, spaces all drop."""
+    """Lower-case with ``str.lower`` and keep only a..z; punctuation, digits,
+    spaces and every other character drop.
+
+    This is not ``str.casefold``: ``normalize("Straße") == "strae"`` and
+    ``normalize("ſun") == "un"``, where case folding would give "strasse"
+    and "sun".
+    """
     return "".join(c for c in text.lower() if "a" <= c <= "z")
 
 
@@ -46,4 +66,33 @@ def encode_base27(text: str) -> float:
     for c in digits:
         num = num * 27 + (ord(c) - 96)
     num *= 27 ** (MAX_DIGITS - len(digits))
+    return num / _DENOM
+
+
+def encode_lines(text: str) -> np.ndarray:
+    """Encode each line of `text`, split as ``str.splitlines`` splits it.
+
+    Returns one float64 per line, bit-identical to
+    ``[encode_base27(line) for line in text.splitlines()]``.  The text is
+    lowered once, its letters become digit bytes and each line ends in a 0
+    byte; the digit sums are then built one letter column at a time in
+    exact int64 and divided once, as ``encode_base27`` does.
+    """
+    text = text.lower().replace("\r\n", "\n")
+    for brk in _WIDE_BREAKS:  # before encoding to ASCII would drop them
+        text = text.replace(brk, "\n")
+    digits = text.encode("ascii", "ignore").translate(_TO_DIGITS, _NOT_DIGITS)
+    if text and text[-1] not in _ASCII_BREAKS:
+        digits += b"\0"  # the last line has no break of its own
+    buf = np.frombuffer(digits, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 0)
+    at = np.empty_like(ends)
+    at[:1] = 0
+    at[1:] = ends[:-1] + 1
+    num = np.zeros(ends.size, dtype=np.int64)
+    for _ in range(MAX_DIGITS):
+        num *= 27
+        # past its last letter a line reads its own 0 byte: a missing digit
+        num += buf[np.minimum(at, ends)]
+        at += 1
     return num / _DENOM

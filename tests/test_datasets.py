@@ -1,5 +1,6 @@
 """File ingestion and self-generated lists."""
 
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,10 @@ import pytest
 from itpsearch.cli import main
 from itpsearch.datasets import MAX_FIBONACCI_N, generate, load_numeric, load_text
 from itpsearch.keycodec import encode_base27
+
+# sha256 of load_text("data/surnames.txt").list.values, as the per-line
+# scalar encoding gave it
+SURNAMES_SHA256 = "cda9af8ff54d5b0fcba0c4dba503b66cf8402400e61ea8f5e46bbbef2d91c065"
 
 
 def test_load_numeric_sorts(tmp_path):
@@ -106,6 +111,31 @@ def test_load_text_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="no keys"):
         load_text(path)
+    # one empty line is one key, encoded 0
+    path.write_text("\n")
+    with pytest.raises(ValueError, match="at least 2 distinct"):
+        load_text(path)
+
+
+def test_load_text_crlf_equals_lf(tmp_path):
+    crlf = tmp_path / "crlf.txt"
+    lf = tmp_path / "lf.txt"
+    crlf.write_bytes(b"Smith\r\njones\r\n\r\nsmith\r\nBrown")
+    lf.write_bytes(b"Smith\njones\n\nsmith\nBrown")
+    a, b = load_text(crlf), load_text(lf)
+    assert a.list.values.tolist() == b.list.values.tolist()
+    assert a.dedup_count == b.dedup_count == 1
+
+
+def test_key_files_are_utf8(tmp_path, capsys):
+    path = tmp_path / "keys.txt"
+    # KELVIN SIGN and DOTTED CAPITAL I lower-case to a..z letters
+    path.write_bytes("\u212aelvin\nİstanbul\n".encode("utf-8"))
+    ds = load_text(path)
+    assert ds.list.values.tolist() == [encode_base27("istanbul"), encode_base27("kelvin")]
+    path.write_bytes(b"smith\n\xff\xfejones\n")
+    assert main(["bench-file", "--input", str(path), "--text"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_generate_primes():
@@ -156,6 +186,10 @@ def test_shipped_sample_files_load():
     data = Path(__file__).resolve().parent.parent / "data"
     names = load_text(data / "surnames.txt")
     assert names.list.n == 14  # 15 distinct keys
+    lines = (data / "surnames.txt").read_text(encoding="utf-8").splitlines()
+    scalar = np.unique([encode_base27(line) for line in lines])
+    assert np.array_equal(names.list.values.view(np.int64), scalar.view(np.int64))
+    assert hashlib.sha256(names.list.values.tobytes()).hexdigest() == SURNAMES_SHA256
     readings = load_numeric(data / "readings.csv", column=2)
     assert readings.list.n == 14
     assert 0.0 < readings.list[0] and readings.list[14] < 1.0

@@ -3,10 +3,11 @@
 import sys
 from fractions import Fraction
 
-from hypothesis import given
+import numpy as np
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from itpsearch.keycodec import MAX_DIGITS, encode_base27, normalize
+from itpsearch.keycodec import MAX_DIGITS, encode_base27, encode_lines, normalize
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -17,6 +18,9 @@ def test_normalize():
     assert normalize("van der Berg 3rd") == "vanderbergrd"
     assert normalize("...!;*") == ""
     assert normalize("") == ""
+    # str.lower, not str.casefold: these letters have no a..z lower case
+    assert normalize("Straße") == "strae"
+    assert normalize("ſun") == "un"
 
 
 def test_encode_examples():
@@ -65,3 +69,24 @@ def test_order_matches_truncated_lexicographic(s, t):
         assert es < et
     else:
         assert es > et
+
+
+@given(st.text())
+# every line break str.splitlines() knows, "\r\n" as one of them
+@example("a\rb\r\nc\vd\fe\x1cf\x1dg\x1eh\x85i\u2028j\u2029k\nl")
+@example("\r\r\n\n\r")
+@example("x\ré\ny")  # "\r" and "\n" apart once the "é" is dropped
+@example("smith\n")  # a trailing break ends the last line, adds no empty one
+@example("\n\nsmith\n\njones")  # empty lines encode 0
+@example("")
+@example("123 !?")  # no letter at all: no digit bytes
+@example("é\n\u00a0")
+@example("abcdefghijklmnopq\nZYXWVUTSRQPONM\nabcdefghij")  # beyond MAX_DIGITS
+@example("\ufeffsmith\njones")  # a byte order mark
+@example("\u212aelvin\nİstanbul\nſun\nStraße\nΟΔΟΣ")  # K sign, dotted I, long s, final sigma
+def test_encode_lines_equals_scalar(text):
+    got = encode_lines(text)
+    want = np.asarray([encode_base27(line) for line in text.splitlines()], dtype=np.float64)
+    assert got.dtype == np.float64
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
