@@ -9,6 +9,7 @@ cover the benchmark rows that need no external data.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,11 +42,23 @@ def _finish(name: str, raw: np.ndarray) -> Dataset:
     return Dataset(list=SortedList(values, validate=False), dedup_count=raw.size - values.size)
 
 
+def _read_utf8(path: Path) -> str:
+    """The file's text; a byte sequence that is not UTF-8 raises ValueError
+    naming the file and line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
+
+
 def load_numeric(path, column: int | None = None) -> Dataset:
     """Parse one decimal number per row (or per row of a CSV column)."""
     path = Path(path)
     raw: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # lines split as open() splits them, with newline=""
+    with io.StringIO(_read_utf8(path), newline="") as fh:
         if column is not None and column < 1:
             raise ValueError(f"column is 1-based, got {column}")
         for lineno, row in enumerate(fh if column is None else csv.reader(fh), start=1):
@@ -66,8 +79,7 @@ def load_numeric(path, column: int | None = None) -> Dataset:
 def load_text(path) -> Dataset:
     """Encode one key per line via base-27; codec collisions merge."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_utf8(path)  # encode_lines splits lines as open() does
     if not text:
         raise ValueError(f"{path}: no keys")
     return _finish(path.stem, encode_lines(text))

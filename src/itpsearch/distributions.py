@@ -13,6 +13,7 @@ same draws no matter how many trials run or in what order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,11 +155,24 @@ def fill_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generat
 
 
 def sample_target(lo: float, hi: float, seed) -> float:
-    """Uniform draw strictly inside (lo, hi); endpoint hits are redrawn."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    """Uniform draw strictly inside (lo, hi); endpoint hits are redrawn.
+
+    The ends must be finite, and ValueError is raised when no float lies
+    strictly inside.  When ``hi - lo`` overflows float64 (ends near
+    +-1.7e308), the draw is made between the halved ends and doubled, as
+    ``interpolation_point`` halves its keys.
+    """
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if math.nextafter(lo, hi) == hi:
+        raise ValueError(f"no float lies strictly inside ({lo}, {hi})")
     rng = as_rng(seed)
+    if hi - lo < math.inf:
+        while True:
+            z = lo + (hi - lo) * rng.random()
+            if lo < z < hi:
+                return z
     while True:
-        z = lo + (hi - lo) * rng.random()
+        z = (lo / 2 + (hi / 2 - lo / 2) * rng.random()) * 2
         if lo < z < hi:
             return z

@@ -13,11 +13,11 @@ an exact hit collapses the bracket).  Three probe rules are provided:
 
 Each rule is defined once, by ``make_probe_fn``; ``search`` and the oracles
 both drive it.  ``search_block`` searches lanes of (list, target, config) in
-lockstep with numpy, and ``search_many`` is its one-list, one-config case;
-its array form of each rule repeats the scalar arithmetic operation by
-operation, and differential tests hold the two equal.  Endpoint
-values are cached with the bracket, so a search is charged one query per
-interior probe only.
+lockstep with numpy, in one loop where each rule runs on its own lanes, and
+``search_many`` is its one-list, one-config case; its array form of each
+rule repeats the scalar arithmetic operation by operation, and differential
+tests hold the two equal.  Endpoint values are cached with the bracket, so a
+search is charged one query per interior probe only.
 """
 
 from __future__ import annotations
@@ -374,11 +374,13 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
     return SearchOutcome(k_star=k_star, queries=queries, trace=tuple(trace), capped=capped)
 
 
-# search_block hands a group's last lanes to the scalar loop once this few
-# remain: a lockstep iteration costs tens of microseconds however few lanes
-# are live, and interpolation's slowest targets take ten times its median
-# probe count.
-SCALAR_FINISH = 8
+# search_block hands its last lanes to the scalar loop once this few remain.
+# With few lanes live, one lockstep iteration costs as much as 20 to 40 scalar
+# probes of the same rule (2-vCPU VM: binary 15-30 us against 0.4-0.8 us a
+# probe, interpolation 45-75 us against 2.2-2.5 us, ITP 65-95 us against
+# 2.7-3.6 us), and interpolation's slowest targets take ten times its median
+# probe count, so its tail is cheaper in the scalar loop.
+SCALAR_FINISH = 24
 
 
 def search_many(lst: SortedList, zs, config: SearchConfig):
@@ -408,10 +410,10 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
 
     The configs are grouped by probe rule (strategy, and variant for ITP), so
     a group's lanes share the radius anchor while their kappas and caps may
-    differ.  A group's live brackets advance one probe per iteration with
-    numpy and retire as they close or reach their cap; its last
-    ``SCALAR_FINISH`` lanes finish in the scalar loop, where a group of no
-    more lanes runs from the start.
+    differ.  Every live bracket advances one probe per iteration of one numpy
+    loop, in which each group's rule runs on its own lanes, and retires as it
+    closes or reaches its cap; the last ``SCALAR_FINISH`` lanes finish in the
+    scalar loop, where a block of no more lanes runs from the start.
     """
     block = np.asarray(block, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
@@ -439,37 +441,45 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     for i, config in enumerate(configs):
         variant = config.variant if config.strategy is Strategy.ITP else None
         groups.setdefault((config.strategy, variant), []).append(i)
+    members = [i for group in groups.values() for i in group]
     flat = np.ascontiguousarray(block).reshape(-1)
     out = (k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1))
     # a lane's id is its index into the flattened outputs: (config, row, target)
-    for members in groups.values():
-        if n > 1 and len(members) * searched.size > SCALAR_FINISH:
-            c = np.repeat(members, searched.size)
-            lane = c * zs.size + np.concatenate((searched,) * len(members))
-            base = np.concatenate((searched // zs.shape[1] * size,) * len(members))
-            z = np.concatenate((zs.reshape(-1)[searched],) * len(members))
-            _lockstep(flat, n, configs, c, lane, base, z, out)
-        else:  # few lanes, or n == 1 where every bracket starts closed
-            lanes = []
-            for s in searched.tolist():
-                start = s // zs.shape[1] * size
-                va, vb, zi = flat[start].item(), flat[start + n].item(), zs.flat[s].item()
-                lanes += [(i * zs.size + s, i, start, zi, 0, n, va, vb) for i in members]
-            _finish(flat, n, configs, lanes, 0, out)
+    if n > 1 and len(members) * searched.size > SCALAR_FINISH:
+        c = np.repeat(members, searched.size)  # lanes ordered by group
+        lane = c * zs.size + np.concatenate((searched,) * len(members))
+        base = np.concatenate((searched // zs.shape[1] * size,) * len(members))
+        z = np.concatenate((zs.reshape(-1)[searched],) * len(members))
+        ends = np.cumsum([len(group) * searched.size for group in groups.values()]).tolist()
+        leads = [group[0] for group in groups.values()]
+        _lockstep(flat, n, configs, leads, ends, c, lane, base, z, out)
+    else:  # few lanes, or n == 1 where every bracket starts closed
+        lanes = []
+        for s in searched.tolist():
+            start = s // zs.shape[1] * size
+            va, vb, zi = flat[start].item(), flat[start + n].item(), zs.flat[s].item()
+            lanes += [(i * zs.size + s, i, start, zi, 0, n, va, vb) for i in members]
+        _finish(flat, n, configs, lanes, 0, out)
     return k_star, queries, capped
 
 
-def _lockstep(flat, n, configs, c, lane, base, z, out):
-    """Run more than ``SCALAR_FINISH`` lanes of configs that share one probe
-    rule to the end, on lists of n > 1 keys.
+def _lockstep(flat, n, configs, leads, ends, c, lane, base, z, out):
+    """Run more than ``SCALAR_FINISH`` lanes to the end, on lists of n > 1
+    keys, in one loop.
 
     Lane i searches ``z[i]`` with ``configs[c[i]]`` on the keys
     ``flat[base[i] : base[i] + n + 1]`` and writes its (k*, queries, capped)
-    at index ``lane[i]`` of the three ``out`` arrays.  Its last
+    at index ``lane[i]`` of the three ``out`` arrays.  The lanes are ordered
+    by probe rule: group g is the slice ending at ``ends[g]``, and runs the
+    rule of ``configs[leads[g]]``.  Each iteration applies every group's rule
+    to its own slice, then updates, caps and retires all lanes at once;
+    retirement keeps the order, so each group stays one slice.  The last
     ``SCALAR_FINISH`` lanes finish in ``_descend``.
     """
     k_out, q_out, capped_out = out
-    rule = _lockstep_rule(configs, c[0], n)
+    rules = [_lockstep_rule(configs, i, n) for i in leads]
+    edges = [0, *ends]  # group g holds the lanes edges[g]:edges[g + 1]
+    spans = list(zip(rules, edges, edges[1:]))  # the groups with lanes left
     caps = np.array([config.cap for config in configs])
     first_cap = int(caps[c].min())
     a = np.zeros(lane.size, dtype=np.int64)
@@ -477,31 +487,43 @@ def _lockstep(flat, n, configs, c, lane, base, z, out):
     va = flat[base]
     vb = flat[base + n]
     j = 0
-    while lane.size > SCALAR_FINISH:
-        k = rule(a, b, j, va, vb, z, c)
-        v_k = flat[base + k]
-        above = v_k > z
-        below = v_k < z
-        # the bracket arrays are this loop's own copies: update them in place
-        np.putmask(b, above, k)
-        np.putmask(vb, above, v_k)
-        np.putmask(a, ~above, k)
-        np.putmask(va, below, v_k)
-        np.putmask(b, v_k == z, k + 1)  # exact hit: the cell (k, k+1)
-        j += 1
-        # retire closed brackets, then open ones whose cap is spent, as _descend does
-        stop = b - a <= 1
-        if j >= first_cap:
-            spent = ~stop & (caps[c] <= j)
-            capped_out[lane[spent]] = True
-            stop |= spent
-        if stop.any():
-            done = lane[stop]
-            k_out[done] = a[stop]
-            q_out[done] = j
-            keep = ~stop
-            lane, c, base, z = lane[keep], c[keep], base[keep], z[keep]
-            a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+    # the interpolation line overflows on keys near +-1.7e308, and its redo
+    # branch handles those lanes
+    with np.errstate(over="ignore", invalid="ignore"):
+        while lane.size > SCALAR_FINISH:
+            if len(spans) == 1:  # one group left: its slice is every lane
+                k = spans[0][0](a, b, j, va, vb, z, c)
+            else:
+                k = np.concatenate([
+                    rule(a[lo:hi], b[lo:hi], j, va[lo:hi], vb[lo:hi], z[lo:hi], c[lo:hi])
+                    for rule, lo, hi in spans
+                ])  # fmt: skip
+            v_k = flat[base + k]
+            above = v_k > z
+            below = v_k < z
+            # the bracket arrays are this loop's own copies: update them in place
+            np.putmask(b, above, k)
+            np.putmask(vb, above, v_k)
+            np.putmask(a, ~above, k)
+            np.putmask(va, below, v_k)
+            np.putmask(b, v_k == z, k + 1)  # exact hit: the cell (k, k+1)
+            j += 1
+            # retire closed brackets, then open ones whose cap is spent, as _descend does
+            stop = b - a <= 1
+            if j >= first_cap:
+                spent = ~stop & (caps[c] <= j)
+                capped_out[lane[spent]] = True
+                stop |= spent
+            if stop.any():
+                done = lane[stop]
+                k_out[done] = a[stop]
+                q_out[done] = j
+                if len(spans) > 1:  # each edge moves back by the lanes retired before it
+                    edges = (edges - np.searchsorted(np.flatnonzero(stop), edges)).tolist()
+                    spans = [span for span in zip(rules, edges, edges[1:]) if span[1] < span[2]]
+                keep = ~stop
+                lane, c, base, z = lane[keep], c[keep], base[keep], z[keep]
+                a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
     lanes = zip(
         lane.tolist(), c.tolist(), base.tolist(), z.tolist(),
         a.tolist(), b.tolist(), va.tolist(), vb.tolist(),
@@ -579,15 +601,16 @@ def _interpolation_points(a, b, va, vb, z):
     """``interpolation_point`` over arrays of live brackets.
 
     A live lane has va < z <= vb (va only ever takes a key below z), so the
-    flat-bracket midpoint never applies.
+    flat-bracket midpoint never applies.  The caller ignores numpy's overflow
+    and invalid warnings (``np.errstate``): lanes whose line overflows are
+    redone from halved keys.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = va - vb
-        x = (b * (va - z) - a * (vb - z)) / d
-        redo = ~(np.isfinite(x) & np.isfinite(d))
-        if redo.any():
-            ar, br, var, vbr, zr = a[redo], b[redo], va[redo], vb[redo], z[redo]
-            x[redo] = ar + (br - ar) * ((zr / 2 - var / 2) / (vbr / 2 - var / 2))
+    d = va - vb
+    x = (b * (va - z) - a * (vb - z)) / d
+    redo = ~(np.isfinite(x) & np.isfinite(d))
+    if redo.any():
+        ar, br, var, vbr, zr = a[redo], b[redo], va[redo], vb[redo], z[redo]
+        x[redo] = ar + (br - ar) * ((zr / 2 - var / 2) / (vbr / 2 - var / 2))
     return np.minimum(np.maximum(x, a), b)
 
 

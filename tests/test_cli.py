@@ -186,6 +186,20 @@ def test_bench_file_text_mode(tmp_path):
     assert all(row["n"] == "3" for row in rows)
 
 
+def test_bench_file_narrow_and_overflowing_key_ranges(tmp_path, capsys):
+    # no float lies strictly between the keys: no target can be drawn
+    data = tmp_path / "f.txt"
+    data.write_text("1.0\n1.0000000000000002\n")
+    assert main(["bench-file", "--input", str(data), "--trials", "5"]) == 1
+    assert "error: no float lies strictly inside" in capsys.readouterr().err
+    # the key range overflows float64: targets are drawn from halved ends
+    data.write_text("-1.7e308\n0.5\n1.7e308\n")
+    out = tmp_path / "stats.csv"
+    argv = ["bench-file", "--input", str(data), "--trials", "50", "--output", str(out)]
+    assert main(argv) == 0
+    assert all(row["n"] == "2" and row["max"] == "1" for row in read_csv(out))
+
+
 def test_bench_file_flag_conflict(tmp_path, capsys):
     data = tmp_path / "x.txt"
     data.write_text("a\nb\n")

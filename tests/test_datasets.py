@@ -138,6 +138,17 @@ def test_key_files_are_utf8(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_utf8_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"smith\n\xff\xfejones\n")
+    for load in (load_text, load_numeric, lambda p: load_numeric(p, column=1)):
+        with pytest.raises(ValueError, match=r"bad\.txt:2: not UTF-8"):
+            load(path)
+    for argv in (["--text"], []):
+        assert main(["bench-file", "--input", str(path), *argv]) == 1
+        assert "bad.txt:2: not UTF-8" in capsys.readouterr().err
+
+
 def test_generate_primes():
     ds = generate("primes", 4)
     assert ds.list.values.tolist() == [2.0, 3.0, 5.0, 7.0, 11.0]

@@ -150,6 +150,29 @@ def test_sample_target_validation():
         sample_target(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         sample_target(2.0, 1.0, 0)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            sample_target(lo, hi, 0)
+
+
+def test_sample_target_needs_a_float_inside():
+    # every draw would land on an end, so the loop could never stop
+    for lo in (1.0, -0.0, -1.7e308):
+        with pytest.raises(ValueError, match="no float lies strictly inside"):
+            sample_target(lo, math.nextafter(lo, math.inf), 0)
+    one_up = math.nextafter(1.0, math.inf)
+    assert sample_target(1.0, math.nextafter(one_up, math.inf), 0) == one_up
+
+
+def test_sample_target_overflowing_span():
+    # hi - lo is inf: the draw is made between the halved ends
+    rng = as_rng(8)
+    draws = np.array([sample_target(-1.7e308, 1.7e308, rng) for _ in range(10_000)])
+    assert np.all((draws > -1.7e308) & (draws < 1.7e308))
+    assert abs((draws / 1.7e308).mean()) < 0.05
+    assert np.mean(draws < 0) == pytest.approx(0.5, abs=0.05)
+    lo, hi = -1.7e308, math.nextafter(math.inf, 0)
+    assert all(lo < sample_target(lo, hi, t) < hi for t in range(100))
 
 
 def test_spec_validation():

@@ -751,3 +751,41 @@ def test_search_block_midpoint_ties():
         assert k_star[range(len(cases)), range(len(cases)), 0].tolist() == [n // 2] * len(cases)
         _assert_block_matches(block, zs, configs)
     assert blocks > 90
+
+
+def test_search_block_interleaved_groups():
+    # the lanes run ordered by probe rule, not by config: outputs must come
+    # back in config order, whatever order the rules are listed in
+    n = 3000
+    specs = (Uniform(), Gaussian(), Step())
+    block = np.array([sample_list(spec, n, 50 + i).values for i, spec in enumerate(specs)])
+    zs = np.hstack([np.random.default_rng(51).random((len(specs), 40)), block[:, [0, 7, n]]])
+    configs = [
+        SearchConfig.binary(),
+        SearchConfig.itp(Local(), cap=1),
+        SearchConfig.interpolation(),
+        SearchConfig.binary(cap=5),
+        SearchConfig.itp(Strict()),
+        SearchConfig.itp(Relaxed()),
+    ]
+    order = [5, 2, 0, 4, 1, 3]
+    permuted = [configs[i] for i in order]
+    _assert_block_matches(block, zs, configs)
+    _assert_block_matches(block, zs, permuted)
+    back = np.argsort(order)
+    for want, got in zip(search_block(block, zs, configs), search_block(block, zs, permuted)):
+        assert np.array_equal(got[back], want)
+
+
+def test_search_block_one_group_runs_long():
+    # interpolation crawls one key at a time up a geometric row, long after
+    # binary is done; the middle group (ITP-Strict, capped at 2) empties first
+    n = 600
+    block = np.array([np.geomspace(1e-300, 1.0, n + 1), np.linspace(0.0, 1.0, n + 1)])
+    zs = np.hstack([block[:, 1 : n : 23], (block[:, 1 : n : 41] + block[:, 2 : n + 1 : 41]) / 2])
+    configs = [SearchConfig.binary(), SearchConfig.itp(Strict(), cap=2), SearchConfig.interpolation()]
+    _assert_block_matches(block, zs, configs)
+    queries = search_block(block, zs, configs)[1]
+    assert queries[0].max() <= minmax_bound(n)
+    assert queries[1].max() == 2
+    assert queries[2, 0].max() > 300
