@@ -8,6 +8,7 @@ cover the benchmark rows that need no external data.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -43,9 +44,11 @@ def _finish(name: str, raw: np.ndarray) -> Dataset:
 
 
 def _read_utf8(path: Path) -> str:
-    """The file's text; a byte sequence that is not UTF-8 raises ValueError
-    naming the file and line."""
+    """The file's text, without a leading byte order mark; a byte sequence
+    that is not UTF-8 raises ValueError naming the file and line."""
     data = path.read_bytes()
+    if data.startswith(codecs.BOM_UTF8):  # utf-8-sig would offset exc.start past it
+        data = data[len(codecs.BOM_UTF8) :]
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

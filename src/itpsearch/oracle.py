@@ -3,8 +3,10 @@
 Everything here is finite enumeration: a full linear scan for the located
 cell, an exhaustive recursion over bracket splits for the minmax depth, an
 adversarial game tree over probe outcomes for a concrete probe rule, and an
-exact average over equality outcomes of binary search.  These engines are
-desk-scale by design and refuse inputs beyond their enumeration budgets.
+exact average over equality outcomes of binary search, which runs ``search``
+itself.  ``average_depth_c2`` stays independent of the search code: it is the
+closed form of binary search's average depth.  These engines are desk-scale by
+design and refuse inputs beyond their enumeration budgets.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .search import ProbeRule, SortedList, minmax_bound
+from .search import ProbeRule, SearchConfig, SortedList, minmax_bound, search
 
 __all__ = [
     "DepthProfile",
@@ -137,29 +139,15 @@ def average_depth_c2(n: int) -> float:
 def binary_equality_profile(n: int) -> DepthProfile:
     """Exact depth statistics of binary search over the n equality outcomes.
 
-    Walks the comparison tree once per target position k* in 1..n (the target
-    equals the k*-th key), with floor-midpoint probes.  The average is the
-    exact rational over all n outcomes; it is the enumeration companion to
-    ``average_depth_c2`` and the two use different depth conventions, so they
-    differ by a fraction of an iteration at small n.
+    Runs ``search`` with the binary rule once per target position k* in 1..n
+    on the ramp 0, 1, ..., n, so the target equals the k*-th key.  The average
+    is the exact rational over all n outcomes; it is the enumeration companion
+    to ``average_depth_c2`` and the two use different depth conventions, so
+    they differ by a fraction of an iteration at small n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    total = 0
-    deepest = 0
-    for k_star in range(1, n + 1):
-        a, b = 0, n
-        queries = 0
-        while b - a > 1:
-            k = (a + b) // 2
-            queries += 1
-            if k == k_star:
-                break
-            if k < k_star:
-                a = k
-            else:
-                b = k
-        total += queries
-        if queries > deepest:
-            deepest = queries
-    return DepthProfile(max_depth=deepest, avg_depth=Fraction(total, n))
+    lst = SortedList(np.arange(n + 1.0), validate=False)
+    config = SearchConfig.binary()
+    depths = [search(lst, float(k_star), config).queries for k_star in range(1, n + 1)]
+    return DepthProfile(max_depth=max(depths), avg_depth=Fraction(sum(depths), n))

@@ -330,7 +330,7 @@ def _descend(v, z, probe, cap, a, b, j, va, vb, trace):
     iteration j; each probe is appended to ``trace``.
 
     Returns ``(k_star, queries, capped)``.  ``search`` runs it from the start,
-    ``_lockstep`` to finish the lanes it hands over.
+    and ``search_block`` runs it to finish the lanes its lockstep loop leaves.
     """
     while b - a > 1:
         if j >= cap:
@@ -374,7 +374,8 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
     return SearchOutcome(k_star=k_star, queries=queries, trace=tuple(trace), capped=capped)
 
 
-# search_block hands its last lanes to the scalar loop once this few remain.
+# search_block's lockstep loop stops once this few lanes are live, and the
+# scalar loop finishes them; a block of no more lanes never enters the loop.
 # With few lanes live, one lockstep iteration costs as much as 20 to 40 scalar
 # probes of the same rule (2-vCPU VM: binary 15-30 us against 0.4-0.8 us a
 # probe, interpolation 45-75 us against 2.2-2.5 us, ITP 65-95 us against
@@ -412,8 +413,8 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     a group's lanes share the radius anchor while their kappas and caps may
     differ.  Every live bracket advances one probe per iteration of one numpy
     loop, in which each group's rule runs on its own lanes, and retires as it
-    closes or reaches its cap; the last ``SCALAR_FINISH`` lanes finish in the
-    scalar loop, where a block of no more lanes runs from the start.
+    closes or reaches its cap.  The loop runs while more than ``SCALAR_FINISH``
+    lanes are live, and the scalar loop finishes the rest.
     """
     block = np.asarray(block, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
@@ -435,6 +436,8 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     k_star = np.zeros(shape, dtype=np.int64)
     queries = np.zeros(shape, dtype=np.int64)
     capped = np.zeros(shape, dtype=bool)
+    if n == 1 or not configs:  # every bracket starts closed, or there are no lanes
+        return k_star, queries, capped
 
     searched = np.flatnonzero(zs != v0)  # z == values[0] costs no query
     groups: dict = {}
@@ -442,62 +445,34 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
         variant = config.variant if config.strategy is Strategy.ITP else None
         groups.setdefault((config.strategy, variant), []).append(i)
     members = [i for group in groups.values() for i in group]
-    flat = np.ascontiguousarray(block).reshape(-1)
-    out = (k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1))
-    # a lane's id is its index into the flattened outputs: (config, row, target)
-    if n > 1 and len(members) * searched.size > SCALAR_FINISH:
-        c = np.repeat(members, searched.size)  # lanes ordered by group
-        lane = c * zs.size + np.concatenate((searched,) * len(members))
-        base = np.concatenate((searched // zs.shape[1] * size,) * len(members))
-        z = np.concatenate((zs.reshape(-1)[searched],) * len(members))
-        ends = np.cumsum([len(group) * searched.size for group in groups.values()]).tolist()
-        leads = [group[0] for group in groups.values()]
-        _lockstep(flat, n, configs, leads, ends, c, lane, base, z, out)
-    else:  # few lanes, or n == 1 where every bracket starts closed
-        lanes = []
-        for s in searched.tolist():
-            start = s // zs.shape[1] * size
-            va, vb, zi = flat[start].item(), flat[start + n].item(), zs.flat[s].item()
-            lanes += [(i * zs.size + s, i, start, zi, 0, n, va, vb) for i in members]
-        _finish(flat, n, configs, lanes, 0, out)
-    return k_star, queries, capped
-
-
-def _lockstep(flat, n, configs, leads, ends, c, lane, base, z, out):
-    """Run more than ``SCALAR_FINISH`` lanes to the end, on lists of n > 1
-    keys, in one loop.
-
-    Lane i searches ``z[i]`` with ``configs[c[i]]`` on the keys
-    ``flat[base[i] : base[i] + n + 1]`` and writes its (k*, queries, capped)
-    at index ``lane[i]`` of the three ``out`` arrays.  The lanes are ordered
-    by probe rule: group g is the slice ending at ``ends[g]``, and runs the
-    rule of ``configs[leads[g]]``.  Each iteration applies every group's rule
-    to its own slice, then updates, caps and retires all lanes at once;
-    retirement keeps the order, so each group stays one slice.  The last
-    ``SCALAR_FINISH`` lanes finish in ``_descend``.
-    """
-    k_out, q_out, capped_out = out
-    rules = [_lockstep_rule(configs, i, n) for i in leads]
-    edges = [0, *ends]  # group g holds the lanes edges[g]:edges[g + 1]
+    # Lane i searches z[i] with configs[c[i]] on the keys flat[base[i] :
+    # base[i] + n + 1] and writes its outcome at index lane[i] of the flattened
+    # outputs, which is its (config, row, target).  The lanes are ordered by
+    # probe rule: group g holds the lanes edges[g]:edges[g + 1] and runs
+    # rules[g].  Retirement keeps the order, so each group stays one slice.
+    rules = [_lockstep_rule(configs, group[0], n) for group in groups.values()]
+    edges = [0, *np.cumsum([len(group) * searched.size for group in groups.values()]).tolist()]
     spans = list(zip(rules, edges, edges[1:]))  # the groups with lanes left
+    flat = np.ascontiguousarray(block).reshape(-1)
+    k_out, q_out, capped_out = k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1)
+    c = np.repeat(members, searched.size)
+    lane = c * zs.size + np.concatenate((searched,) * len(members))
+    base = np.concatenate((searched // zs.shape[1] * size,) * len(members))
+    z = np.concatenate((zs.reshape(-1)[searched],) * len(members))
     caps = np.array([config.cap for config in configs])
-    first_cap = int(caps[c].min())
+    first_cap = int(caps.min())
     a = np.zeros(lane.size, dtype=np.int64)
     b = np.full(lane.size, n, dtype=np.int64)
-    va = flat[base]
-    vb = flat[base + n]
+    va, vb = flat[base], flat[base + n]
     j = 0
     # the interpolation line overflows on keys near +-1.7e308, and its redo
     # branch handles those lanes
     with np.errstate(over="ignore", invalid="ignore"):
         while lane.size > SCALAR_FINISH:
-            if len(spans) == 1:  # one group left: its slice is every lane
-                k = spans[0][0](a, b, j, va, vb, z, c)
-            else:
-                k = np.concatenate([
-                    rule(a[lo:hi], b[lo:hi], j, va[lo:hi], vb[lo:hi], z[lo:hi], c[lo:hi])
-                    for rule, lo, hi in spans
-                ])  # fmt: skip
+            k = np.concatenate([
+                rule(a[lo:hi], b[lo:hi], j, va[lo:hi], vb[lo:hi], z[lo:hi], c[lo:hi])
+                for rule, lo, hi in spans
+            ])  # fmt: skip
             v_k = flat[base + k]
             above = v_k > z
             below = v_k < z
@@ -518,31 +493,22 @@ def _lockstep(flat, n, configs, leads, ends, c, lane, base, z, out):
                 done = lane[stop]
                 k_out[done] = a[stop]
                 q_out[done] = j
-                if len(spans) > 1:  # each edge moves back by the lanes retired before it
-                    edges = (edges - np.searchsorted(np.flatnonzero(stop), edges)).tolist()
-                    spans = [span for span in zip(rules, edges, edges[1:]) if span[1] < span[2]]
+                # each edge moves back by the lanes retired before it
+                edges = (edges - np.searchsorted(np.flatnonzero(stop), edges)).tolist()
+                spans = [span for span in zip(rules, edges, edges[1:]) if span[1] < span[2]]
                 keep = ~stop
                 lane, c, base, z = lane[keep], c[keep], base[keep], z[keep]
                 a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+    probes = {ci: make_probe_fn(configs[ci], n) for ci in set(c.tolist())}
     lanes = zip(
         lane.tolist(), c.tolist(), base.tolist(), z.tolist(),
         a.tolist(), b.tolist(), va.tolist(), vb.tolist(),
     )  # fmt: skip
-    _finish(flat, n, configs, lanes, j, out)
-
-
-def _finish(flat, n, configs, lanes, j, out):
-    """Run each lane (id, config index, row start, z, a, b, va, vb) to the
-    end in ``_descend``, from iteration j, and write its outcome to ``out``."""
-    k_out, q_out, capped_out = out
-    probes: dict = {}
     for i, ci, start, zi, ai, bi, vai, vbi in lanes:
-        config = configs[ci]
-        if ci not in probes:
-            probes[ci] = make_probe_fn(config, n)
         k_out[i], q_out[i], capped_out[i] = _descend(
-            flat[start : start + n + 1], zi, probes[ci], config.cap, ai, bi, j, vai, vbi, []
+            flat[start : start + n + 1], zi, probes[ci], configs[ci].cap, ai, bi, j, vai, vbi, []
         )
+    return k_star, queries, capped
 
 
 def _lockstep_rule(configs: Sequence[SearchConfig], i: int, n: int):

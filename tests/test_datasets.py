@@ -149,6 +149,27 @@ def test_invalid_utf8_names_file_and_line(tmp_path, capsys):
         assert "bad.txt:2: not UTF-8" in capsys.readouterr().err
 
 
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    for body, loads in (
+        (b"smith\njones\n", (load_text,)),
+        (b"1.0\n2.0\n3.5\n", (load_numeric, lambda p: load_numeric(p, column=1))),
+    ):
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        for load in loads:
+            assert load(marked).list.values.tolist() == load(plain).list.values.tolist()
+    for argv in ([], ["--column", "1"]):
+        assert main(["bench-file", "--input", str(marked), "--trials", "3", *argv]) == 0
+    assert capsys.readouterr().err == ""
+    # the mark is not counted into the offset of a bad byte: still line 2
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xef\xbb\xbfab\n\xff")
+    for load in (load_text, load_numeric):
+        with pytest.raises(ValueError, match=r"bad\.txt:2: not UTF-8"):
+            load(bad)
+
+
 def test_generate_primes():
     ds = generate("primes", 4)
     assert ds.list.values.tolist() == [2.0, 3.0, 5.0, 7.0, 11.0]

@@ -718,8 +718,12 @@ def test_search_block_edges():
     assert search_block(block, np.empty((2, 0)), configs)[0].shape == (2, 2, 0)
     queries = search_block(block, [[0.0, 0.0], [-3.0, -3.0]], configs)[1]
     assert queries.tolist() == [[[0, 0], [0, 0]]] * 2
-    # n == 1 closes every bracket at once
-    assert search_block([[0.0, 1.0]] * 3, [[0.5]] * 3, configs)[1].sum() == 0
+    # no configs: no lanes
+    assert [f.shape for f in search_block(block, block, [])] == [(0, 2, 5)] * 3
+    # n == 1 closes every bracket at once, even under a cap of 1
+    k_star, queries, capped = search_block([[0.0, 1.0]] * 3, [[0.5]] * 3, configs)
+    assert k_star.tolist() == queries.tolist() == [[[0]] * 3] * 2
+    assert capped.tolist() == [[[False]] * 3] * 2
     with pytest.raises(ValueError, match="2-D block"):
         search_block(block[0], [[0.1]], configs)
     with pytest.raises(ValueError, match="one row per key row"):
