@@ -13,11 +13,13 @@ an exact hit collapses the bracket).  Three probe rules are provided:
 
 Each rule is defined once, by ``make_probe_fn``; ``search`` and the oracles
 both drive it.  ``search_block`` searches lanes of (list, target, config) in
-lockstep with numpy, in one loop where each rule runs on its own lanes, and
-``search_many`` is its one-list, one-config case; its array form of each
-rule repeats the scalar arithmetic operation by operation, and differential
-tests hold the two equal.  Endpoint values are cached with the bracket, so a
-search is charged one query per interior probe only.
+lockstep with numpy, and ``search_many`` is its one-list, one-config case.
+Its loop evaluates one array formula, the itp step, on every lane: binary is
+the case of radius 0, and interpolation the case of no truncation and an
+unbounded radius.  The formula repeats the scalar arithmetic operation by
+operation, and differential tests hold it equal to each scalar rule.
+Endpoint values are cached with the bracket, so a search is charged one
+query per interior probe only.
 """
 
 from __future__ import annotations
@@ -376,12 +378,16 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
 
 # search_block's lockstep loop stops once this few lanes are live, and the
 # scalar loop finishes them; a block of no more lanes never enters the loop.
-# With few lanes live, one lockstep iteration costs as much as 20 to 40 scalar
-# probes of the same rule (2-vCPU VM: binary 15-30 us against 0.4-0.8 us a
-# probe, interpolation 45-75 us against 2.2-2.5 us, ITP 65-95 us against
-# 2.7-3.6 us), and interpolation's slowest targets take ten times its median
-# probe count, so its tail is cheaper in the scalar loop.
-SCALAR_FINISH = 24
+# With few lanes live, one lockstep iteration costs 30-65 us whatever the
+# rules (2-vCPU VM), against 0.2-0.5 us a scalar probe for binary, 0.9-1.9 us
+# for interpolation and 1.2-2.7 us for ITP, and interpolation's slowest
+# targets take ten times its median probe count, so its tail is cheaper in
+# the scalar loop.  Measured on a 200-target, four-rule search of 2e5 text
+# keys and on an 80-config ITP-Strict block of three 2e5-key lists: 48 beat
+# 24 by 4-23% on the text keys in five interleaved sweeps and was within 5%
+# on the ITP-Strict block; below 16 the text-key search slows (+16-21% at 8),
+# and above 64 the ITP-Strict block does (+11-14% at 96, +22% at 128).
+SCALAR_FINISH = 48
 
 
 def search_many(lst: SortedList, zs, config: SearchConfig):
@@ -412,8 +418,17 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     The configs are grouped by probe rule (strategy, and variant for ITP), so
     a group's lanes share the radius anchor while their kappas and caps may
     differ.  Every live bracket advances one probe per iteration of one numpy
-    loop, in which each group's rule runs on its own lanes, and retires as it
-    closes or reaches its cap.  The loop runs while more than ``SCALAR_FINISH``
+    loop, and retires as it closes or reaches its cap.  Each iteration
+    evaluates the itp step once over all live lanes, with each lane's
+    parameters: the truncation step is kappa1 * delta**kappa2 on ITP lanes and
+    0 elsewhere, and the half-width of the minmax radius is
+    2**(n_ref - j - 1) with the group's anchor n_ref, which is -inf for binary
+    (radius 0) and +inf for interpolation (radius unbounded), or Local's
+    bit-length width.  Binary and interpolation come out bit for bit.  On a
+    live lane va < z <= vb, so x_f is finite.  A step of 0 leaves x_t = x_f:
+    where sigma is 0, x_t is x_half, which equals x_f.  An unbounded radius
+    keeps x_t, and a radius of 0 gives x_half - sigma * 0 = x_half, which
+    rounds to (a + b) // 2.  The loop runs while more than ``SCALAR_FINISH``
     lanes are live, and the scalar loop finishes the rest.
     """
     block = np.asarray(block, dtype=np.float64)
@@ -444,35 +459,84 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     for i, config in enumerate(configs):
         variant = config.variant if config.strategy is Strategy.ITP else None
         groups.setdefault((config.strategy, variant), []).append(i)
-    members = [i for group in groups.values() for i in group]
+    rules = sorted(groups, key=lambda rule: rule[0] is Strategy.ITP)
+    members = [i for rule in rules for i in groups[rule]]
     # Lane i searches z[i] with configs[c[i]] on the keys flat[base[i] :
     # base[i] + n + 1] and writes its outcome at index lane[i] of the flattened
     # outputs, which is its (config, row, target).  The lanes are ordered by
-    # probe rule: group g holds the lanes edges[g]:edges[g + 1] and runs
-    # rules[g].  Retirement keeps the order, so each group stays one slice.
-    rules = [_lockstep_rule(configs, group[0], n) for group in groups.values()]
-    edges = [0, *np.cumsum([len(group) * searched.size for group in groups.values()]).tolist()]
-    spans = list(zip(rules, edges, edges[1:]))  # the groups with lanes left
+    # probe rule: rule g holds the lanes edges[g]:edges[g + 1], and the ITP
+    # rules come last, so their lanes are one slice.  Retirement keeps the
+    # order, so each rule's lanes stay one slice.
     flat = np.ascontiguousarray(block).reshape(-1)
     k_out, q_out, capped_out = k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1)
     c = np.repeat(members, searched.size)
     lane = c * zs.size + np.concatenate((searched,) * len(members))
     base = np.concatenate((searched // zs.shape[1] * size,) * len(members))
     z = np.concatenate((zs.reshape(-1)[searched],) * len(members))
-    caps = np.array([config.cap for config in configs])
-    first_cap = int(caps.min())
     a = np.zeros(lane.size, dtype=np.int64)
     b = np.full(lane.size, n, dtype=np.int64)
     va, vb = flat[base], flat[base + n]
     j = 0
-    # the interpolation line overflows on keys near +-1.7e308, and its redo
-    # branch handles those lanes
+    if lane.size > SCALAR_FINISH:
+        kappa1s = np.array([config.kappa1 for config in configs])
+        kappa2s = np.array([config.kappa2 for config in configs])
+        caps = np.array([config.cap for config in configs])
+        first_cap = int(caps.min())
+        edges = [0, *np.cumsum([len(groups[rule]) * searched.size for rule in rules]).tolist()]
+        # each rule's radius anchor n_ref (Local's is None)
+        anchors = [
+            -math.inf if strategy is Strategy.BINARY
+            else math.inf if strategy is Strategy.INTERPOLATION
+            else variant.n_ref(n)
+            for strategy, variant in rules
+        ]  # fmt: skip
+        spans = list(zip(anchors, edges, edges[1:]))
+        itp = sum(strategy is not Strategy.ITP for strategy, _ in rules)  # edges[itp]: 1st ITP lane
+    # the interpolation line overflows on keys near +-1.7e308: its warnings are
+    # ignored, and the lanes whose line overflows are redone from halved keys
     with np.errstate(over="ignore", invalid="ignore"):
         while lane.size > SCALAR_FINISH:
-            k = np.concatenate([
-                rule(a[lo:hi], b[lo:hi], j, va[lo:hi], vb[lo:hi], z[lo:hi], c[lo:hi])
-                for rule, lo, hi in spans
-            ])  # fmt: skip
+            x_half = (a + b) / 2
+            delta = b - a
+            # interpolation_point: a live lane has va < z <= vb (va only ever
+            # takes a key below z), so the flat-bracket midpoint never applies
+            d = va - vb
+            x_f = (b * (va - z) - a * (vb - z)) / d
+            redo = ~(np.isfinite(x_f) & np.isfinite(d))
+            if redo.any():
+                ar, br, var, vbr, zr = a[redo], b[redo], va[redo], vb[redo], z[redo]
+                x_f[redo] = ar + (br - ar) * ((zr / 2 - var / 2) / (vbr / 2 - var / 2))
+            x_f = np.minimum(np.maximum(x_f, a), b)
+            # truncate, by a step of 0 on binary and interpolation lanes.  Each
+            # operation is the scalar rule's IEEE operation but the powers:
+            # np.power differs from C pow in the last bit for about 5% of
+            # deltas, so they are taken with Python's pow (lane by lane here,
+            # once per rule for the half-width)
+            gap = x_half - x_f
+            sigma = np.sign(gap)
+            t = edges[itp]
+            powers = map(pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())
+            step = np.zeros(lane.size)
+            step[t:] = kappa1s[c[t:]] * np.fromiter(powers, np.float64, lane.size - t)
+            x_t = x_f + sigma * step
+            short = np.where(sigma > 0, x_t < x_half, x_t > x_half)
+            x_t = np.where((step <= np.abs(gap)) & short, x_t, x_half)
+            # minmax_radius, from each rule's half-width
+            width = np.empty(lane.size)
+            for n_ref, lo, hi in spans:
+                if n_ref is None:  # Local: 2 ** (bit_length(delta - 1) - 1)
+                    exp = np.frexp((delta[lo:hi] - 1).astype(np.float64))[1] - 1
+                    width[lo:hi] = np.ldexp(1.0, exp)
+                else:
+                    width[lo:hi] = 2.0 ** (n_ref - j - 1)
+            r = width - delta / 2
+            r = np.where(r > 0, r, 0.0)
+            # project
+            x_itp = np.where(np.abs(x_t - x_half) <= r, x_t, x_half - sigma * r)
+            # round_toward_midpoint
+            f = np.floor(x_itp)
+            k = np.where((f != x_itp) & (x_itp < x_half), f + 1, f).astype(np.int64)
+            k = np.minimum(np.maximum(k, a + 1), b - 1)
             v_k = flat[base + k]
             above = v_k > z
             below = v_k < z
@@ -495,7 +559,7 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
                 q_out[done] = j
                 # each edge moves back by the lanes retired before it
                 edges = (edges - np.searchsorted(np.flatnonzero(stop), edges)).tolist()
-                spans = [span for span in zip(rules, edges, edges[1:]) if span[1] < span[2]]
+                spans = [span for span in zip(anchors, edges, edges[1:]) if span[1] < span[2]]
                 keep = ~stop
                 lane, c, base, z = lane[keep], c[keep], base[keep], z[keep]
                 a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
@@ -509,79 +573,3 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             flat[start : start + n + 1], zi, probes[ci], configs[ci].cap, ai, bi, j, vai, vbi, []
         )
     return k_star, queries, capped
-
-
-def _lockstep_rule(configs: Sequence[SearchConfig], i: int, n: int):
-    """``make_probe_fn``'s rule for the strategy and variant of ``configs[i]``,
-    over arrays of brackets sharing iteration j; lane by lane, ``c`` picks
-    the config whose kappas apply.
-
-    Each step is the same IEEE operation as in the scalar rule.  The one
-    exception numpy cannot match is ``delta ** kappa2``: ``np.power`` differs
-    from C ``pow`` in the last bit for about 5% of deltas, so that power is
-    taken with Python's ``pow``, lane by lane (the product with kappa1 is one
-    IEEE multiply in numpy as in Python).
-    """
-    config = configs[i]
-    if config.strategy is Strategy.BINARY:
-        return lambda a, b, j, va, vb, z, c: (a + b) // 2
-
-    if config.strategy is Strategy.INTERPOLATION:
-        def interpolation(a, b, j, va, vb, z, c):
-            x_f = _interpolation_points(a, b, va, vb, z)
-            return _round_toward_midpoints(x_f, (a + b) / 2, a, b)
-
-        return interpolation
-
-    n_ref = config.variant.n_ref(n)
-    kappa1s = np.array([config.kappa1 for config in configs])
-    kappa2s = np.array([config.kappa2 for config in configs])
-
-    def itp(a, b, j, va, vb, z, c):
-        x_half = (a + b) / 2
-        delta = b - a
-        x_f = _interpolation_points(a, b, va, vb, z)
-        # truncate
-        gap = x_half - x_f
-        sigma = np.sign(gap)
-        powers = map(pow, delta.tolist(), kappa2s[c].tolist())
-        step = kappa1s[c] * np.fromiter(powers, np.float64, delta.size)
-        x_t = x_f + sigma * step
-        short = np.where(sigma > 0, x_t < x_half, x_t > x_half)
-        x_t = np.where((step <= np.abs(gap)) & short, x_t, x_half)
-        # minmax_radius
-        if n_ref is None:
-            exp = np.frexp((delta - 1).astype(np.float64))[1] - 1  # bit_length - 1
-            r = np.ldexp(1.0, exp) - delta / 2
-        else:
-            r = 2.0 ** (n_ref - j - 1) - delta / 2
-            r = np.where(r > 0, r, 0.0)
-        # project
-        x_itp = np.where(np.abs(x_t - x_half) <= r, x_t, x_half - sigma * r)
-        return _round_toward_midpoints(x_itp, x_half, a, b)
-
-    return itp
-
-
-def _interpolation_points(a, b, va, vb, z):
-    """``interpolation_point`` over arrays of live brackets.
-
-    A live lane has va < z <= vb (va only ever takes a key below z), so the
-    flat-bracket midpoint never applies.  The caller ignores numpy's overflow
-    and invalid warnings (``np.errstate``): lanes whose line overflows are
-    redone from halved keys.
-    """
-    d = va - vb
-    x = (b * (va - z) - a * (vb - z)) / d
-    redo = ~(np.isfinite(x) & np.isfinite(d))
-    if redo.any():
-        ar, br, var, vbr, zr = a[redo], b[redo], va[redo], vb[redo], z[redo]
-        x[redo] = ar + (br - ar) * ((zr / 2 - var / 2) / (vbr / 2 - var / 2))
-    return np.minimum(np.maximum(x, a), b)
-
-
-def _round_toward_midpoints(x, x_half, a, b):
-    """``round_toward_midpoint`` over arrays, as int64 indices."""
-    f = np.floor(x)
-    k = np.where((f != x) & (x < x_half), f + 1, f).astype(np.int64)
-    return np.minimum(np.maximum(k, a + 1), b - 1)

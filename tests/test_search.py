@@ -680,6 +680,24 @@ def _adversarial_block(draw):
 
 
 @given(case=_adversarial_block(), configs=st.lists(_batch_configs, min_size=1, max_size=6))
+@example(
+    # the interpolation line overflows, and is redone, on binary lanes too
+    case=(
+        np.array([[-HUGE, -1e308, 0.0, 1e308, HUGE], [-HUGE, -1.0, 0.0, 1.0, HUGE]]),
+        np.array([[1.5e308, -1.5e308, 1e308, 0.5, HUGE], [1.5e308, -1.5e308, -1.0, 0.5, 1.0]]),
+    ),
+    configs=[SearchConfig.binary(), SearchConfig.itp(Local()), SearchConfig.itp(Strict())],
+)
+@example(
+    # keys 0..n for odd n and z = n/2: x_f equals x_half, so sigma is 0 on every lane
+    case=(np.array([np.arange(10.0)] * 2), np.full((2, 3), 4.5)),
+    configs=[
+        SearchConfig.binary(),
+        SearchConfig.interpolation(),
+        SearchConfig.itp(Strict()),
+        SearchConfig.itp(Relaxed()),
+    ],
+)
 @settings(max_examples=200, deadline=None)  # up to 1272 lanes, each searched four times
 def test_search_block_matches_search_adversarial(case, configs):
     block, zs = case
