@@ -121,10 +121,11 @@ def check_minmax_exhaustive(max_n: int):
     """ITP-Strict and binary stay within ceil(log2 n) on every cell and key, n=2..max_n."""
     configs = (SearchConfig.itp(variant=Strict()), SearchConfig.binary())
     for n in range(2, max_n + 1):
-        lst = SortedList([(i / n) ** 2 for i in range(n + 1)], validate=False)
+        keys = [(i / n) ** 2 for i in range(n + 1)]  # lst holds these same floats
+        lst = SortedList(keys, validate=False)
         bound = minmax_bound(n)
-        targets = [(lst[k] + lst[k + 1]) / 2 for k in range(n)]
-        targets += [lst[k] for k in range(1, n)]
+        targets = [(keys[k] + keys[k + 1]) / 2 for k in range(n)]
+        targets += keys[1:n]
         for z in targets:
             for config in configs:
                 outcome = search(lst, z, config)
@@ -192,10 +193,12 @@ def check_codec(pairs: int, seed: int):
     alphabet = "abcdefghijklmnopqrstuvwxyzABCDWXYZ .',-!;*0123456789"
     lengths = rng.integers(0, 15, size=2 * pairs)
     chars = rng.integers(0, len(alphabet), size=int(lengths.sum()))
-    words = np.split(chars, lengths.cumsum()[:-1])
-    strings = ["".join(alphabet[c] for c in word) for word in words]
-    # every string ends in "\n", so an empty last string is still a line
-    codes = encode_lines("".join(s + "\n" for s in strings)).tolist()
+    # the strings' characters in one pass, with a "\n" after each string, so
+    # an empty last string is still a line
+    letters = np.frombuffer(alphabet.encode("ascii"), dtype=np.uint8)[chars]
+    text = np.insert(letters, lengths.cumsum(), ord("\n")).tobytes().decode("ascii")
+    strings = text.split("\n")[:-1]
+    codes = encode_lines(text).tolist()
     for s, t, es, et in zip(strings[::2], strings[1::2], codes[::2], codes[1::2]):
         ks, kt = normalize(s)[:MAX_DIGITS], normalize(t)[:MAX_DIGITS]
         if (ks < kt) != (es < et) or (ks == kt) != (es == et):

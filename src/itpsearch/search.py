@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from math import floor, isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,6 +67,11 @@ class Strategy(Enum):
     BINARY = "binary"
     INTERPOLATION = "interpolation"
     ITP = "itp"
+
+
+# make_probe_fn runs once per search, and on CPython 3.11 each attribute
+# lookup on an Enum class such as ``Strategy.BINARY`` costs about 0.15 us
+_BINARY, _INTERPOLATION = Strategy.BINARY, Strategy.INTERPOLATION
 
 
 @dataclass(frozen=True)
@@ -223,9 +229,15 @@ def interpolation_point(a: int, b: int, va: float, vb: float, z: float) -> float
         return (a + b) / 2
     d = va - vb
     x = (b * (va - z) - a * (vb - z)) / d
-    if not (math.isfinite(x) and math.isfinite(d)):
+    if not (isfinite(x) and isfinite(d)):
         x = a + (b - a) * ((z / 2 - va / 2) / (vb / 2 - va / 2))
-    return min(max(x, a), b)
+    # min(max(x, a), b), without the cost of two builtin calls: an end that
+    # clamps comes back as the int, and x on an end stays the float
+    if x < a:
+        x = a
+    if x > b:
+        x = b
+    return x
 
 
 def truncate(
@@ -280,7 +292,7 @@ def round_toward_midpoint(x: float, x_half: float, a: int, b: int) -> int:
     it; a non-integer x sitting exactly on the midpoint rounds down (fixed
     tie rule).  Callers guarantee b - a >= 2, so the interior is non-empty.
     """
-    f = math.floor(x)
+    f = floor(x)
     if f == x:
         k = f
     elif x < x_half:
@@ -300,13 +312,14 @@ def make_probe_fn(config: SearchConfig, n: int) -> ProbeRule:
     This is the one definition of each rule: ``search`` drives it over a real
     list, and the oracles drive it over synthetic brackets.
     """
-    if config.strategy is Strategy.BINARY:
+    strategy = config.strategy
+    if strategy is _BINARY:
         def binary(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:
             return (a + b) // 2
 
         return binary
 
-    if config.strategy is Strategy.INTERPOLATION:
+    if strategy is _INTERPOLATION:
         def interpolation(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:
             x_f = interpolation_point(a, b, va, vb, z)
             return round_toward_midpoint(x_f, (a + b) / 2, a, b)
@@ -333,13 +346,17 @@ def _descend(v, z, probe, cap, a, b, j, va, vb, trace):
 
     Returns ``(k_star, queries, capped)``.  ``search`` runs it from the start,
     and ``search_block`` runs it to finish the lanes its lockstep loop leaves.
+    ``v`` is a float64 array, so ``v.item(k)`` is the Python float
+    ``float(v[k])``, read without making a numpy scalar.
     """
+    key = v.item
+    append = trace.append
     while b - a > 1:
         if j >= cap:
             return a, j, True
         k = probe(a, b, j, va, vb, z)
-        v_k = float(v[k])
-        trace.append(k)
+        v_k = key(k)
+        append(k)
         j += 1
         if v_k > z:
             b, vb = k, v_k
@@ -362,31 +379,34 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
     """
     v = lst.values
     n = lst.n
-    v0 = float(v[0])
-    vn = float(v[n])
+    v0 = v.item(0)
+    vn = v.item(n)
     if not v0 <= z <= vn:
         raise ValueError(f"target {z} outside key range [{v0}, {vn}]")
     if z == v0:
-        return SearchOutcome(k_star=0, queries=0, trace=())
+        return SearchOutcome(0, 0, ())
     z = float(z)  # a numpy scalar would turn truncate's sign into numpy booleans
     trace: list[int] = []
     k_star, queries, capped = _descend(
         v, z, make_probe_fn(config, n), config.cap, 0, n, 0, v0, vn, trace
     )
-    return SearchOutcome(k_star=k_star, queries=queries, trace=tuple(trace), capped=capped)
+    # positional: the frozen dataclass's keyword call costs about 0.2 us more
+    return SearchOutcome(k_star, queries, tuple(trace), capped)
 
 
 # search_block's lockstep loop stops once this few lanes are live, and the
 # scalar loop finishes them; a block of no more lanes never enters the loop.
-# With few lanes live, one lockstep iteration costs 30-65 us whatever the
-# rules (2-vCPU VM), against 0.2-0.5 us a scalar probe for binary, 0.9-1.9 us
-# for interpolation and 1.2-2.7 us for ITP, and interpolation's slowest
-# targets take ten times its median probe count, so its tail is cheaper in
-# the scalar loop.  Measured on a 200-target, four-rule search of 2e5 text
-# keys and on an 80-config ITP-Strict block of three 2e5-key lists: 48 beat
-# 24 by 4-23% on the text keys in five interleaved sweeps and was within 5%
-# on the ITP-Strict block; below 16 the text-key search slows (+16-21% at 8),
-# and above 64 the ITP-Strict block does (+11-14% at 96, +22% at 128).
+# With 24 lanes live on 2e5 keys, one lockstep iteration costs 61-119 us
+# whatever the rules (2-vCPU VM, under load), against 0.5-0.7 us a scalar
+# probe for binary, 1.0-2.0 us for interpolation and 1.6-3.3 us for ITP: an
+# iteration costs as much as 125-140 binary, 50-65 interpolation or 33-40 ITP
+# probes.  Interpolation's slowest targets take ten times its median probe
+# count, so its tail is cheaper in the scalar loop.  Measured on a 200-target,
+# four-rule search of 2e5 text keys and on an 80-config ITP-Strict block of
+# three 2e5-key lists, in five interleaved sweeps: against 48, 64 was 0.96-1.00
+# on the text keys but 0.95-1.03 on the ITP-Strict block, so 48 stays; 32 and
+# below slow the text-key search (+2-9% at 32, +9-19% at 16), and 96 and above
+# the ITP-Strict block (+3-13% at 96, up to +28% at 128).
 SCALAR_FINISH = 48
 
 

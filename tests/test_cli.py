@@ -2,6 +2,11 @@
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,8 @@ from itpsearch import bench, cli, oracle
 from itpsearch.cli import _build_parser, main
 from itpsearch.datasets import generate, load_numeric
 from itpsearch.search import SearchConfig, Relaxed
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_csv(path):
@@ -67,6 +74,49 @@ def test_verify_fails_through_cli_search(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[3].startswith("FAIL strategies agree with linear scan, 20 random instances: ")
     assert [line[:4] for line in lines] == ["PASS", "PASS", "PASS", "FAIL", "PASS"]
+
+
+def test_verify_calls_cli_search_once_per_search(monkeypatch):
+    # perfbench tallies verify's searches by wrapping cli.search: the exhaustive
+    # check makes 2 * (8**2 - 1) calls over n=2..8, and the equivalence check
+    # 3 * 20, so batching or bypassing either would change that tally
+    real = cli.search
+    rules = []
+
+    def counting(lst, z, config):
+        variant = type(config.variant).__name__ if config.strategy.value == "itp" else ""
+        rules.append((config.strategy.value, variant))
+        return real(lst, z, config)
+
+    monkeypatch.setattr(cli, "search", counting)
+    assert main(["verify", "--max-n", "8", "--trials", "20"]) == 0
+    assert len(rules) == 2 * (8**2 - 1) + 3 * 20 == 186
+    assert Counter(rules) == {
+        ("binary", ""): 63 + 20,
+        ("itp", "Strict"): 63,
+        ("interpolation", ""): 20,
+        ("itp", "Relaxed"): 20,
+    }
+
+
+def test_verify_module_run_at_default_sizes():
+    # the command the verify benchmark times, in a fresh interpreter
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "itpsearch.cli", "verify"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "PASS minmax bound exhaustive, n=2..128",
+        "PASS minimax oracle equals ceil(log2 n), n=2..512",
+        "PASS ITP-Strict adversarial depth <= bound, n=2..256",
+        "PASS strategies agree with linear scan, 2000 random instances",
+        "PASS base-27 codec preserves key order, 5000 pairs",
+    ]
 
 
 def test_oracle_check_fails_through_oracle(monkeypatch, capsys):

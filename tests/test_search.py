@@ -1,6 +1,7 @@
 """Core search: operation examples, invariants, and property tests."""
 
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import math
@@ -11,8 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from itpsearch import cli
 from itpsearch.bench import TABLE1_KAPPA1, TABLE1_KAPPA2
-from itpsearch.distributions import Exponential, Gaussian, Step, Uniform, sample_list
+from itpsearch.distributions import (
+    Exponential,
+    Gaussian,
+    Step,
+    Triangular,
+    Uniform,
+    sample_list,
+    sample_target,
+)
 from itpsearch.keycodec import encode_base27
 from itpsearch.oracle import linear_scan
 from itpsearch.search import (
@@ -77,6 +87,30 @@ def test_interpolation_point_examples():
     assert interpolation_point(0, 4, -HUGE, HUGE, 1.5e308) == pytest.approx(4 * 1.6 / 1.7)
     # a finite span whose numerator overflows takes the same path
     assert interpolation_point(2, 4, 0.0, HUGE, 1.5e308) == pytest.approx(2 + 2 * 1.5 / 1.7)
+
+
+@pytest.mark.parametrize(
+    "z, expected",
+    [
+        (0.0, 2),  # the line lies below a: clamped to the int end
+        (6.0, 6),  # above b: clamped to the int end
+        (1.0, 2.0),  # exactly on a: the float is kept
+        (5.0, 6.0),  # exactly on b
+        (3.0, 4.0),  # inside
+    ],
+)
+def test_interpolation_point_clamp_edges(z, expected):
+    # the line through (2, 1.0) and (6, 5.0) is x = z + 1, exact in float64
+    x = interpolation_point(2, 6, 1.0, 5.0, z)
+    assert x == expected
+    assert type(x) is type(expected)
+
+
+def test_interpolation_point_keeps_negative_zero():
+    # the line meets a = 0 as -0.0 (0.0 / -4.0), which the clamp keeps
+    x = interpolation_point(0, 4, 1.0, 5.0, 1.0)
+    assert type(x) is float
+    assert math.copysign(1.0, x) == -1.0
 
 
 def test_truncate_examples():
@@ -811,3 +845,53 @@ def test_search_block_one_group_runs_long():
     assert queries[0].max() <= minmax_bound(n)
     assert queries[1].max() == 2
     assert queries[2, 0].max() > 300
+
+
+# sha256 of _scalar_traces(), pinned with numpy 2.4.6 (PCG64 streams draw the
+# seeded lists and targets)
+SCALAR_TRACES_SHA256 = "0908336658f5e03f63379d09ba8617e2a96f9ea86f4727620657aa1ec17cebc2"
+
+
+def _scalar_traces():
+    """(k_star, queries, trace, capped) of every search check_minmax_exhaustive(64)
+    makes, of seeded searches with each of the five rules (and a capped one) on
+    each distribution at n <= 4096, and of searches on keys out to +-1.7e308,
+    one line each."""
+    outcomes = []
+    real = cli.search
+
+    def record(lst, z, config):
+        outcomes.append(real(lst, z, config))
+        return outcomes[-1]
+
+    with mock.patch.object(cli, "search", record):
+        assert cli.check_minmax_exhaustive(64) is None
+    configs = [
+        SearchConfig.binary(),
+        SearchConfig.interpolation(),
+        SearchConfig.itp(Strict()),
+        SearchConfig.itp(Relaxed()),
+        SearchConfig.itp(Local()),
+        SearchConfig.interpolation(cap=3),  # capped traces
+    ]
+    for i, spec in enumerate((Uniform(), Gaussian(), Exponential(), Triangular(), Step())):
+        for n in (2, 3, 17, 1000, 4096):
+            rng = np.random.default_rng([i, n])
+            lst = sample_list(spec, n, rng)
+            zs = [sample_target(lst[0], lst[n], rng) for _ in range(20)]
+            zs += [lst[0], lst[n // 2], lst[n]]
+            outcomes += [search(lst, z, config) for z in zs for config in configs]
+    huge = SortedList([-HUGE, -1e308, -1e300, -1.0, 0.0, 1.0, 1e300, 1e308, HUGE])
+    for z in (-HUGE, -1.5e308, -1e307, -0.5, 0.0, 0.5, 1e307, 1e308, 1.5e308, HUGE):
+        outcomes += [search(huge, z, config) for config in configs]
+    lines = [repr((o.k_star, o.queries, o.trace, o.capped)) for o in outcomes]
+    return "\n".join(lines).encode()
+
+
+def test_scalar_traces_golden():
+    # every scalar probe sequence, not only the aggregates test_golden_csv_bytes pins
+    digest = hashlib.sha256(_scalar_traces()).hexdigest()
+    assert digest == SCALAR_TRACES_SHA256, (
+        f"scalar traces changed: sha256 {digest} under numpy {np.__version__}; "
+        f"the pinned hash was computed with numpy 2.4.6"
+    )
