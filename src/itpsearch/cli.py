@@ -108,7 +108,7 @@ def _add_variant_flags(parser, *, default: str) -> None:
         "--nmax-extra",
         type=float,
         default=DEFAULT_NMAX_EXTRA,
-        help="relaxed budget above ceil(log2 n)",
+        help="relaxed budget above ceil(log2 n), from 0 to 961",
     )
 
 

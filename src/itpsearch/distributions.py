@@ -63,8 +63,8 @@ class Gaussian:
     sigma: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
     def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
         mu = rng.random()  # fresh location per list
@@ -80,8 +80,8 @@ class Exponential:
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {self.rate}")
 
     def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
         _fill_accepted(out, lambda m: rng.exponential(1.0 / self.rate, m), lambda x: x <= 1.0)

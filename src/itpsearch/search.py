@@ -88,7 +88,9 @@ class Strict:
 class Relaxed:
     """Minmax radius anchored to the budget n_max = ceil(log2 n) + extra.
 
-    The slack ``extra`` is finite and >= 0.  A non-integer budget is allowed;
+    The slack ``extra`` is finite, >= 0 and at most 961: above it the
+    half-width 2 ** (n_max - 1) overflows float64 on some list of n < 2**63
+    keys, where ceil(log2 n) reaches 63.  A non-integer budget is allowed;
     the worst case is then ceil(n_max).
     """
 
@@ -98,6 +100,8 @@ class Relaxed:
     def __post_init__(self) -> None:
         if not 0 <= self.extra < math.inf:
             raise ValueError(f"extra must be finite and >= 0, got {self.extra}")
+        if self.extra > 961:
+            raise ValueError(f"extra must be at most 961, got {self.extra}")
 
     def n_ref(self, n: int) -> float:
         return minmax_bound(n) + self.extra
@@ -171,7 +175,7 @@ class SearchConfig:
             raise ValueError(f"kappa1 must be finite and positive, got {self.kappa1}")
         if not 0.5 < self.kappa2 < 1.0:
             raise ValueError(f"kappa2 must be in (1/2, 1), got {self.kappa2}")
-        if self.cap < 1:
+        if not (isinstance(self.cap, (int, np.integer)) and self.cap >= 1):
             raise ValueError(f"cap must be a positive integer, got {self.cap}")
 
     @classmethod
@@ -435,21 +439,21 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     configs[c])``.  The first target (row by row) outside its row's key range
     raises search's ValueError.
 
-    The configs are grouped by probe rule (strategy, and variant for ITP), so
-    a group's lanes share the radius anchor while their kappas and caps may
-    differ.  Every live bracket advances one probe per iteration of one numpy
-    loop, and retires as it closes or reaches its cap.  Each iteration
-    evaluates the itp step once over all live lanes, with each lane's
-    parameters: the truncation step is kappa1 * delta**kappa2 on ITP lanes and
-    0 elsewhere, and the half-width of the minmax radius is
-    2**(n_ref - j - 1) with the group's anchor n_ref, which is -inf for binary
-    (radius 0) and +inf for interpolation (radius unbounded), or Local's
-    bit-length width.  Binary and interpolation come out bit for bit.  On a
-    live lane va < z <= vb, so x_f is finite.  A step of 0 leaves x_t = x_f:
-    where sigma is 0, x_t is x_half, which equals x_f.  An unbounded radius
-    keeps x_t, and a radius of 0 gives x_half - sigma * 0 = x_half, which
-    rounds to (a + b) // 2.  The loop runs while more than ``SCALAR_FINISH``
-    lanes are live, and the scalar loop finishes the rest.
+    Each lane reads its parameters from per-config arrays: the kappas, the
+    cap and the radius anchor n_ref, which is -inf for binary (radius 0),
+    +inf for interpolation (radius unbounded), ``variant.n_ref(n)`` for Strict
+    and Relaxed, and NaN for Local.  Every live bracket advances one probe per
+    iteration of one numpy loop, and retires as it closes or reaches its cap.
+    Each iteration evaluates the itp step once over all live lanes: the
+    truncation step is kappa1 * delta**kappa2 on ITP lanes and 0 elsewhere,
+    and the half-width of the minmax radius is 2**(n_ref - j - 1), or on a
+    Local lane the bit-length width of its bracket.  Binary and interpolation
+    come out bit for bit.  On a live lane va < z <= vb, so x_f is finite.  A
+    step of 0 leaves x_t = x_f: where sigma is 0, x_t is x_half, which equals
+    x_f.  An unbounded radius keeps x_t, and a radius of 0 gives
+    x_half - sigma * 0 = x_half, which rounds to (a + b) // 2.  The loop runs
+    while more than ``SCALAR_FINISH`` lanes are live, and the scalar loop
+    finishes the rest.
     """
     block = np.asarray(block, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
@@ -475,24 +479,18 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
         return k_star, queries, capped
 
     searched = np.flatnonzero(zs != v0)  # z == values[0] costs no query
-    groups: dict = {}
-    for i, config in enumerate(configs):
-        variant = config.variant if config.strategy is Strategy.ITP else None
-        groups.setdefault((config.strategy, variant), []).append(i)
-    rules = sorted(groups, key=lambda rule: rule[0] is Strategy.ITP)
-    members = [i for rule in rules for i in groups[rule]]
     # Lane i searches z[i] with configs[c[i]] on the keys flat[base[i] :
     # base[i] + n + 1] and writes its outcome at index lane[i] of the flattened
-    # outputs, which is its (config, row, target).  The lanes are ordered by
-    # probe rule: rule g holds the lanes edges[g]:edges[g + 1], and the ITP
-    # rules come last, so their lanes are one slice.  Retirement keeps the
-    # order, so each rule's lanes stay one slice.
+    # outputs, which is its (config, row, target).  The lanes run config by
+    # config with the ITP configs last, and retirement keeps their order, so
+    # the lanes from index t on are the ITP lanes, the only ones that truncate.
+    order = sorted(range(len(configs)), key=lambda i: configs[i].strategy is Strategy.ITP)
     flat = np.ascontiguousarray(block).reshape(-1)
     k_out, q_out, capped_out = k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1)
-    c = np.repeat(members, searched.size)
-    lane = c * zs.size + np.concatenate((searched,) * len(members))
-    base = np.concatenate((searched // zs.shape[1] * size,) * len(members))
-    z = np.concatenate((zs.reshape(-1)[searched],) * len(members))
+    c = np.repeat(order, searched.size)
+    lane = c * zs.size + np.concatenate((searched,) * len(order))
+    base = np.concatenate((searched // zs.shape[1] * size,) * len(order))
+    z = np.concatenate((zs.reshape(-1)[searched],) * len(order))
     a = np.zeros(lane.size, dtype=np.int64)
     b = np.full(lane.size, n, dtype=np.int64)
     va, vb = flat[base], flat[base + n]
@@ -502,16 +500,18 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
         kappa2s = np.array([config.kappa2 for config in configs])
         caps = np.array([config.cap for config in configs])
         first_cap = int(caps.min())
-        edges = [0, *np.cumsum([len(groups[rule]) * searched.size for rule in rules]).tolist()]
-        # each rule's radius anchor n_ref (Local's is None)
+        t = sum(config.strategy is not Strategy.ITP for config in configs) * searched.size
+        # each config's radius anchor n_ref (Local's None becomes NaN); the
+        # half-widths are taken once per distinct anchor, levels[level[ci]]
+        # being config ci's
         anchors = [
-            -math.inf if strategy is Strategy.BINARY
-            else math.inf if strategy is Strategy.INTERPOLATION
-            else variant.n_ref(n)
-            for strategy, variant in rules
+            -math.inf if config.strategy is Strategy.BINARY
+            else math.inf if config.strategy is Strategy.INTERPOLATION
+            else config.variant.n_ref(n)
+            for config in configs
         ]  # fmt: skip
-        spans = list(zip(anchors, edges, edges[1:]))
-        itp = sum(strategy is not Strategy.ITP for strategy, _ in rules)  # edges[itp]: 1st ITP lane
+        levels, level = np.unique(np.array(anchors, dtype=np.float64), return_inverse=True)
+        levels = levels.tolist()
     # the interpolation line overflows on keys near +-1.7e308: its warnings are
     # ignored, and the lanes whose line overflows are redone from halved keys
     with np.errstate(over="ignore", invalid="ignore"):
@@ -531,24 +531,21 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             # operation is the scalar rule's IEEE operation but the powers:
             # np.power differs from C pow in the last bit for about 5% of
             # deltas, so they are taken with Python's pow (lane by lane here,
-            # once per rule for the half-width)
+            # once per distinct anchor for the half-width)
             gap = x_half - x_f
             sigma = np.sign(gap)
-            t = edges[itp]
             powers = map(pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())
             step = np.zeros(lane.size)
             step[t:] = kappa1s[c[t:]] * np.fromiter(powers, np.float64, lane.size - t)
             x_t = x_f + sigma * step
             short = np.where(sigma > 0, x_t < x_half, x_t > x_half)
             x_t = np.where((step <= np.abs(gap)) & short, x_t, x_half)
-            # minmax_radius, from each rule's half-width
-            width = np.empty(lane.size)
-            for n_ref, lo, hi in spans:
-                if n_ref is None:  # Local: 2 ** (bit_length(delta - 1) - 1)
-                    exp = np.frexp((delta[lo:hi] - 1).astype(np.float64))[1] - 1
-                    width[lo:hi] = np.ldexp(1.0, exp)
-                else:
-                    width[lo:hi] = 2.0 ** (n_ref - j - 1)
+            # minmax_radius, from each lane's half-width 2 ** (n_ref - j - 1)
+            width = np.array([2.0 ** (n_ref - j - 1) for n_ref in levels])[level[c]]
+            local = np.isnan(width)
+            if local.any():  # Local: 2 ** (bit_length(delta - 1) - 1)
+                exp = np.frexp((delta[local] - 1).astype(np.float64))[1] - 1
+                width[local] = np.ldexp(1.0, exp)
             r = width - delta / 2
             r = np.where(r > 0, r, 0.0)
             # project
@@ -577,9 +574,7 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
                 done = lane[stop]
                 k_out[done] = a[stop]
                 q_out[done] = j
-                # each edge moves back by the lanes retired before it
-                edges = (edges - np.searchsorted(np.flatnonzero(stop), edges)).tolist()
-                spans = [span for span in zip(anchors, edges, edges[1:]) if span[1] < span[2]]
+                t -= np.count_nonzero(stop[:t])  # the first ITP lane moves back
                 keep = ~stop
                 lane, c, base, z = lane[keep], c[keep], base[keep], z[keep]
                 a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]

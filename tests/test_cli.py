@@ -16,6 +16,7 @@ from itpsearch.datasets import generate, load_numeric
 from itpsearch.search import SearchConfig, Relaxed
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def read_csv(path):
@@ -256,6 +257,16 @@ def test_bench_file_flag_conflict(tmp_path, capsys):
     code = main(["bench-file", "--input", str(data), "--text", "--column", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_bench_file_rejects_overflowing_nmax_extra(capsys):
+    # 2 ** (n_max - 1) overflowed inside the search, and the OverflowError
+    # escaped main as a traceback
+    argv = ["bench-file", "--input", str(DATA / "readings.csv"), "--column", "2"]
+    assert main(argv + ["--nmax-extra", "1100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: extra must be at most 961, got 1100.0\n"
 
 
 def test_bench_file_missing_input(capsys):

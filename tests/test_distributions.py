@@ -176,10 +176,14 @@ def test_sample_target_overflowing_span():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        Gaussian(sigma=0.0)
-    with pytest.raises(ValueError):
-        Exponential(rate=0.0)
+    # a NaN or infinite sigma or rate used to pass: sample_list then never
+    # returned (no draw is accepted) or, for rate=inf, drew only zeros; these
+    # are checked at construction only, so no test runs the hanging draw
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            Gaussian(sigma=bad)
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            Exponential(rate=bad)
     with pytest.raises(ValueError):
         Step(split=0.0)
     with pytest.raises(ValueError):

@@ -212,11 +212,21 @@ def test_search_config_validation():
         SearchConfig(kappa2=0.5)
     with pytest.raises(ValueError):
         SearchConfig(kappa2=1.0)
-    with pytest.raises(ValueError):
-        SearchConfig(cap=0)
+    # inf and NaN pass a bare cap < 1 test, and 2.5 is not a probe count
+    for cap in (0, math.inf, math.nan, 2.5):
+        with pytest.raises(ValueError, match="cap must be a positive integer"):
+            SearchConfig.binary(cap=cap)
     # NaN would turn ITP into binary search, inf into unbounded interpolation
     for extra in (-0.1, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="extra must be finite and >= 0"):
+            Relaxed(extra=extra)
+    # the largest extra keeps the half-width finite at the largest n < 2**63;
+    # one more and it overflows
+    assert minmax_radius(0, 2, Relaxed(extra=961).n_ref(2**63 - 1)) == 2.0**1023
+    with pytest.raises(OverflowError):
+        minmax_radius(0, 2, 962 + minmax_bound(2**63 - 1))
+    for extra in (961.5, 1100):
+        with pytest.raises(ValueError, match="extra must be at most 961"):
             Relaxed(extra=extra)
     assert Relaxed(extra=0.0).n_ref(100) == 7.0
     assert Relaxed(extra=0.99).n_ref(100) == 7.99
@@ -739,8 +749,9 @@ def test_search_block_matches_search_adversarial(case, configs):
 
 
 def test_search_block_mixed_lanes():
-    # rows of one n drawn from different shapes; every variant's group holds
-    # lanes with different kappas and caps
+    # rows of one n drawn from different shapes; the lanes of each rule have
+    # different kappas and caps, Relaxed(extra=0.0) shares Strict's anchor, and
+    # the last config repeats the first ITP one
     n = 3000
     specs = (Uniform(), Gaussian(), Exponential(rate=math.log(n)), Step())
     block = np.array([sample_list(spec, n, 40 + i).values for i, spec in enumerate(specs)])
@@ -758,6 +769,7 @@ def test_search_block_mixed_lanes():
         for variant in (Strict(), Relaxed(), Relaxed(extra=0.5), Local())
         for k1, k2, cap in zip(TABLE1_KAPPA1, TABLE1_KAPPA2, caps + caps)
     ]
+    configs += [SearchConfig.itp(Relaxed(extra=0.0)), configs[len(caps) * 2]]
     _assert_block_matches(block, zs, configs)
 
 
@@ -791,7 +803,7 @@ def test_search_block_edges():
 
 def test_search_block_midpoint_ties():
     # one block per n: row r holds the tie case of kappa2 = TABLE1_KAPPA2[r]
-    # and config r is its kappa pair, so the group's kappas differ per lane;
+    # and config r is its kappa pair, so the lanes' kappas differ per config;
     # the lanes (r, r) probe the midpoint only if the step has C pow's last bit
     blocks = 0
     for n in range(1001, 1201, 2):
@@ -810,8 +822,8 @@ def test_search_block_midpoint_ties():
 
 
 def test_search_block_interleaved_groups():
-    # the lanes run ordered by probe rule, not by config: outputs must come
-    # back in config order, whatever order the rules are listed in
+    # the lanes run with the ITP configs last, not in config order: outputs
+    # must come back in config order, whatever order the configs are listed in
     n = 3000
     specs = (Uniform(), Gaussian(), Step())
     block = np.array([sample_list(spec, n, 50 + i).values for i, spec in enumerate(specs)])
@@ -835,7 +847,7 @@ def test_search_block_interleaved_groups():
 
 def test_search_block_one_group_runs_long():
     # interpolation crawls one key at a time up a geometric row, long after
-    # binary is done; the middle group (ITP-Strict, capped at 2) empties first
+    # binary is done; the middle config (ITP-Strict, capped at 2) retires first
     n = 600
     block = np.array([np.geomspace(1e-300, 1.0, n + 1), np.linspace(0.0, 1.0, n + 1)])
     zs = np.hstack([block[:, 1 : n : 23], (block[:, 1 : n : 41] + block[:, 2 : n + 1 : 41]) / 2])
