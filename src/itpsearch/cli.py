@@ -122,7 +122,7 @@ def check_minmax_exhaustive(max_n: int):
     configs = (SearchConfig.itp(variant=Strict()), SearchConfig.binary())
     for n in range(2, max_n + 1):
         keys = [(i / n) ** 2 for i in range(n + 1)]  # lst holds these same floats
-        lst = SortedList(keys, validate=False)
+        lst = SortedList(keys)
         bound = minmax_bound(n)
         targets = [(keys[k] + keys[k + 1]) / 2 for k in range(n)]
         targets += keys[1:n]

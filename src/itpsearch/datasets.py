@@ -40,7 +40,7 @@ def _finish(name: str, raw: np.ndarray) -> Dataset:
     values = np.unique(raw)  # sorts and drops duplicates
     if values.size < 2:
         raise ValueError(f"{name}: need at least 2 distinct values, got {values.size}")
-    return Dataset(list=SortedList(values, validate=False), dedup_count=raw.size - values.size)
+    return Dataset(list=SortedList(values), dedup_count=raw.size - values.size)
 
 
 def _read_utf8(path: Path) -> str:

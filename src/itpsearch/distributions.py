@@ -142,7 +142,7 @@ def sample_list(spec: DistributionSpec, n: int, seed) -> SortedList:
         raise ValueError(f"n must be >= 1, got {n}")
     values = np.empty(n + 1)
     fill_list(spec, values, as_rng(seed))
-    return SortedList(values, validate=False)
+    return SortedList(values)
 
 
 def fill_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generator) -> None:

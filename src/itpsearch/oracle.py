@@ -147,7 +147,7 @@ def binary_equality_profile(n: int) -> DepthProfile:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    lst = SortedList(np.arange(n + 1.0), validate=False)
+    lst = SortedList(np.arange(n + 1.0))
     config = SearchConfig.binary()
     depths = [search(lst, float(k_star), config).queries for k_star in range(1, n + 1)]
     return DepthProfile(max_depth=max(depths), avg_depth=Fraction(sum(depths), n))

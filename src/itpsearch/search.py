@@ -123,30 +123,34 @@ Variant = Strict | Relaxed | Local
 class SortedList:
     """A non-decreasing vector of finite keys, length n + 1, indexed 0..n.
 
-    ``validate`` rejects NaN, infinities, decreasing keys and integer keys
-    that float64 cannot hold exactly (such as 2**53 + 1).
+    Every list is checked, by one ordered pass and a test of its two ends: a
+    NaN fails every comparison, and an ordered list holds its infinities and
+    its largest magnitude at its ends.  NaN, infinities, decreasing keys and
+    integer keys that float64 cannot hold exactly (such as 2**53 + 1) raise
+    ValueError.
     """
 
     __slots__ = ("values", "n")
 
-    def __init__(self, values, validate: bool = True):
+    def __init__(self, values):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("values must be one-dimensional")
         if arr.size < 2:
             raise ValueError(f"need at least 2 values, got {arr.size}")
-        if validate:
+        lo, hi = arr.item(0), arr.item(-1)
+        if not ((arr[:-1] <= arr[1:]).all() and -math.inf < lo and hi < math.inf):
             if not np.isfinite(arr).all():
                 raise ValueError("values must be finite (no NaN or inf)")
-            if np.any(arr[1:] < arr[:-1]):
-                raise ValueError("values must be non-decreasing")
+            raise ValueError("values must be non-decreasing")
+        if max(-lo, hi) >= 2.0**53 and arr is not values:
             # an integer key of magnitude >= 2**53 may have rounded to a neighbour
+            # (a float64 array, which asarray passes through, holds no integer key)
             big = np.abs(arr) >= 2.0**53
-            if big.any():
-                keys = np.asarray(values, dtype=object)[big]
-                for key, cast in zip(keys, arr[big].tolist()):
-                    if isinstance(key, (int, np.integer)) and int(key) != int(cast):
-                        raise ValueError(f"integer key {int(key)} is not exact in float64")
+            keys = np.asarray(values, dtype=object)[big]
+            for key, cast in zip(keys, arr[big].tolist()):
+                if isinstance(key, (int, np.integer)) and int(key) != int(cast):
+                    raise ValueError(f"integer key {int(key)} is not exact in float64")
         self.values = arr
         self.n = arr.size - 1
 
@@ -171,6 +175,10 @@ class SearchConfig:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, got {self.strategy!r}")
+        if not isinstance(self.variant, Variant):
+            raise ValueError(f"variant must be Strict, Relaxed or Local, got {self.variant!r}")
         if not 0 < self.kappa1 < math.inf:
             raise ValueError(f"kappa1 must be finite and positive, got {self.kappa1}")
         if not 0.5 < self.kappa2 < 1.0:
@@ -420,7 +428,7 @@ def search_many(lst: SortedList, zs, config: SearchConfig):
     Returns ``(k_star, queries, capped)`` arrays that equal, lane by lane, the
     fields of ``search(lst, z, config)``, and raises the same ValueError for
     the first target outside the key range.  It is ``search_block`` with one
-    row and one config.
+    row, the checked keys of ``lst``, and one config.
     """
     zs = np.asarray(zs, dtype=np.float64)
     if zs.ndim != 1:
@@ -437,7 +445,9 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     Returns ``(k_star, queries, capped)`` arrays of shape ``(C, R, T)``: entry
     ``[c, r, t]`` equals the field of ``search(SortedList(block[r]), zs[r, t],
     configs[c])``.  The first target (row by row) outside its row's key range
-    raises search's ValueError.
+    raises search's ValueError.  The rows themselves are not checked: each
+    must hold what a ``SortedList`` holds, finite non-decreasing keys, and a
+    row with a NaN or out of order is searched without a word.
 
     Each lane reads its parameters from per-config arrays: the kappas, the
     cap and the radius anchor n_ref, which is -inf for binary (radius 0),

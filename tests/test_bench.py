@@ -174,7 +174,7 @@ def test_sweep_n_rows_and_n1():
 
 
 def test_plain_sorted_list_source():
-    lst = SortedList(np.linspace(0.0, 1.0, 9), validate=False)
+    lst = SortedList(np.linspace(0.0, 1.0, 9))
     (row,) = run_trials(lst, [SearchConfig.binary()], 30, 7)
     assert row.n == 8
     assert row.max <= minmax_bound(8)

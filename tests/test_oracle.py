@@ -50,8 +50,8 @@ def test_linear_scan_domain():
 def test_linear_scan_affine_invariance(values, frac, scale, shift):
     base = np.sort(np.asarray(values, dtype=float))
     z = base[0] + frac * (base[-1] - base[0])
-    k = linear_scan(SortedList(base, validate=False), z)
-    k2 = linear_scan(SortedList(base * scale + shift, validate=False), z * scale + shift)
+    k = linear_scan(SortedList(base), z)
+    k2 = linear_scan(SortedList(base * scale + shift), z * scale + shift)
     assert k == k2
 
 
@@ -127,7 +127,7 @@ def test_binary_equality_profile_bounds():
 def test_profile_agrees_with_instrumented_search():
     # cross-check the enumeration against real searches on an integer ramp
     for n in (7, 19, 64):
-        lst = SortedList(np.arange(n + 1, dtype=float), validate=False)
+        lst = SortedList(np.arange(n + 1, dtype=float))
         total = 0
         deepest = 0
         for k_star in range(1, n + 1):

@@ -48,7 +48,7 @@ from itpsearch.search import (
 # the module, not the function the package re-exports under the same name
 search_module = importlib.import_module("itpsearch.search")
 
-RAMP_1024 = SortedList(np.arange(1025) / 1024, validate=False)
+RAMP_1024 = SortedList(np.arange(1025) / 1024)
 HUGE = 1.7e308
 
 
@@ -184,24 +184,56 @@ def test_sorted_list_validation():
         SortedList([1.0])
     with pytest.raises(ValueError):
         SortedList([[0.0, 1.0]])
-    with pytest.raises(ValueError):
-        SortedList([0.0, 2.0, 1.0])
-    # non-finite keys defeat the order check and the interpolation arithmetic
-    for bad in ([0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0]):
+    # the only decrease may be anywhere, the last pair included
+    for bad in ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0, 1.5]):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            SortedList(bad)
+    # a NaN fails the order test wherever it sits; an infinity passes it only
+    # at an end, where the end tests catch it
+    for bad in (
+        [0.0, math.nan, 1.0],
+        [0.0, 1.0, math.nan],
+        [0.0, 1.0, math.inf],
+        [-math.inf, 0.0, 1.0],
+        [-math.inf, 0.0, 1.0, math.inf],
+    ):
         with pytest.raises(ValueError, match="finite"):
             SortedList(bad)
-    # integers above 2**53 would collapse onto float64 neighbours
+    # integers above 2**53 would collapse onto float64 neighbours; the last
+    # list is ordered only after the cast to float
     below = np.array([-(2**53) - 1, 0], dtype=np.int64)
-    for bad in ([0, 2**53, 2**53 + 1, 2**53 + 3], below):
+    for bad in ([0, 2**53, 2**53 + 1, 2**53 + 3], below, [2**53 + 1, 2**53]):
         with pytest.raises(ValueError, match="not exact"):
             SortedList(bad)
     assert SortedList([0, 2**53]).values.tolist() == [0.0, 2.0**53]
     assert SortedList(np.array([0, 2**53 + 2, 2**62], dtype=np.int64)).n == 2
     assert SortedList([0.0, 2.0**60]).n == 1
+    assert SortedList([0.0, -0.0]).n == SortedList([-0.0, 0.0]).n == 1  # equal keys
     lst = SortedList([0.0, 1.0, 1.0, 2.0])  # non-decreasing is allowed
     assert lst.n == 3
     assert len(lst) == 4
     assert lst[2] == 1.0
+
+
+@given(
+    st.lists(
+        st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1.0, 2.0])
+        | st.floats(allow_nan=False),
+        min_size=2,
+        max_size=8,
+    )
+)
+@settings(max_examples=300)
+def test_sorted_list_accepts_exactly_finite_non_decreasing(values):
+    a = np.array(values)
+    with np.errstate(over="ignore"):  # the gap between two finite keys may overflow to inf
+        accepted = bool(np.isfinite(a).all() and (np.diff(a) >= 0).all())
+    try:
+        SortedList(values)
+    except ValueError:
+        assert not accepted
+    else:
+        assert accepted
 
 
 def test_search_config_validation():
@@ -212,6 +244,13 @@ def test_search_config_validation():
         SearchConfig(kappa2=0.5)
     with pytest.raises(ValueError):
         SearchConfig(kappa2=1.0)
+    # a strategy's name is not a Strategy, and a variant must be one of the three
+    for strategy in ("binary", "itp", None):
+        with pytest.raises(ValueError, match="strategy must be a Strategy"):
+            SearchConfig(strategy=strategy)
+    for variant in (None, "strict", Strict):
+        with pytest.raises(ValueError, match="variant must be Strict, Relaxed or Local"):
+            SearchConfig(variant=variant)
     # inf and NaN pass a bare cap < 1 test, and 2.5 is not a probe count
     for cap in (0, math.inf, math.nan, 2.5):
         with pytest.raises(ValueError, match="cap must be a positive integer"):
@@ -253,7 +292,7 @@ def test_search_strict_bound_n17():
     config = SearchConfig.itp(Strict())
     for _ in range(200):
         interior = np.sort(rng.random(16))
-        lst = SortedList(np.concatenate(([0.0], interior, [1.0])), validate=False)
+        lst = SortedList(np.concatenate(([0.0], interior, [1.0])))
         z = rng.uniform(1e-9, 1 - 1e-9)
         out = search(lst, z, config)
         assert out.queries <= 5
@@ -294,7 +333,7 @@ def test_search_domain_and_endpoints():
 
 
 def test_search_cap():
-    lst = SortedList(np.arange(101) / 100, validate=False)
+    lst = SortedList(np.arange(101) / 100)
     out = search(lst, 0.515, SearchConfig.binary(cap=2))
     assert out.capped
     assert out.queries == 2
@@ -364,7 +403,7 @@ def _list_and_target(draw):
     cell = draw(st.integers(0, len(values) - 2))
     frac = draw(st.floats(0.001, 0.999))
     z = values[cell] + frac * (values[cell + 1] - values[cell])
-    return SortedList(np.asarray(values, dtype=float), validate=False), z, cell
+    return SortedList(np.asarray(values, dtype=float)), z, cell
 
 
 _configs = st.one_of(
@@ -687,7 +726,7 @@ def _assert_block_matches(block, zs, configs):
     """search_block gives search's (k*, queries, capped) on every (config,
     row, target) lane, or its error: in lockstep to the end, with the scalar
     finish, and with every lane in the scalar loop."""
-    lists = [SortedList(row, validate=False) for row in block]
+    lists = [SortedList(row) for row in block]
 
     def scalar():
         return [
