@@ -73,7 +73,7 @@ MUTANTS = [
     Mutant(
         "block-power-numpy", SEARCH,
         "powers = map(pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())",
-        "powers = np.power(delta[t:].astype(np.float64), kappa2s[c[t:]])",
+        "powers = np.power(delta[t:], kappa2s[c[t:]])",
     ),
     Mutant(
         "block-binary-anchor-strict", SEARCH,
@@ -91,19 +91,31 @@ MUTANTS = [
         "else float(minmax_bound(n)) if config.strategy is Strategy.INTERPOLATION",
     ),
     Mutant("block-first-config-anchor", SEARCH, "for n_ref in levels])[level[c]]", "for n_ref in levels])[level[c * 0]]"),
-    Mutant("block-no-local-width", SEARCH, "if local.any():", "if False:"),
+    Mutant("block-no-local-width", SEARCH, "if local:", "if False:"),
     Mutant("block-no-overflow-redo", SEARCH, "if redo.any():", "if False:"),
+    Mutant(
+        "block-overflow-bound-1030", SEARCH,
+        "wide = n * float(max(-v0.min(), vn.max())) >= 2.0**1020",
+        "wide = n * float(max(-v0.min(), vn.max())) >= 2.0**1030",
+    ),
     # survives: with integer brackets below 2**51 the rounded x_t cannot pass
     # x_half (ROADMAP item 8); the test stays to match truncate operation by
     # operation, which keeps its guard for arbitrary floats
     Mutant(
         "block-no-overshoot-test", SEARCH,
-        "x_t = np.where((step <= np.abs(gap)) & short, x_t, x_half)",
-        "x_t = np.where(step <= np.abs(gap), x_t, x_half)",
+        "np.putmask(x_t, ~((step <= np.abs(gap)) & short), x_half)",
+        "np.putmask(x_t, ~(step <= np.abs(gap)), x_half)",
     ),
-    Mutant("block-tie-rule", SEARCH, "(f != x_itp) & (x_itp < x_half)", "(f != x_itp) & (x_itp <= x_half)"),
-    Mutant("block-no-exact-hit", SEARCH, "np.putmask(b, v_k == z, k + 1)", "None"),
+    Mutant("block-tie-rule", SEARCH, "(f != x_t) & (x_t < x_half)", "(f != x_t) & (x_t <= x_half)"),
+    Mutant(
+        "block-no-step", SEARCH,
+        "step[t:] = kappa1s[c[t:]] * np.fromiter(powers, np.float64, lane.size - t)",
+        "step[t:] = 0.0",
+    ),
+    Mutant("block-no-exact-hit", SEARCH, "np.putmask(b, hit, k + 1)", "None"),
+    Mutant("block-no-probe-count", SEARCH, "q += live", "q += 0"),
     Mutant("block-cap-off-by-one", SEARCH, "(caps[c] <= j)", "(caps[c] < j)"),
+    Mutant("block-no-spent-cap-compaction", SEARCH, "stop = ~live | spent", "stop = None"),
     Mutant("block-first-itp-lane-fixed", SEARCH, "t -= np.count_nonzero(stop[:t])", "t -= 0"),
     Mutant(
         "block-row-zero-keys", SEARCH,
@@ -120,6 +132,11 @@ MUTANTS = [
         "sample-target-closed-lo", DISTRIBUTIONS,
         "z = lo + (hi - lo) * rng.random()\n            if lo < z < hi:",
         "z = lo + (hi - lo) * rng.random()\n            if lo <= z < hi:",
+    ),
+    Mutant(
+        "sample-target-closed-lo-halved", DISTRIBUTIONS,
+        "z = (lo / 2 + (hi / 2 - lo / 2) * rng.random()) * 2\n        if lo < z < hi:",
+        "z = (lo / 2 + (hi / 2 - lo / 2) * rng.random()) * 2\n        if lo <= z < hi:",
     ),
     Mutant("fill-list-unsorted", DISTRIBUTIONS, "values[1:-1].sort()", "pass"),
     Mutant(

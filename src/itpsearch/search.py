@@ -406,20 +406,24 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
     return SearchOutcome(k_star, queries, tuple(trace), capped)
 
 
-# search_block's lockstep loop stops once this few lanes are live, and the
+# search_block's lockstep loop stops once this few lanes are open, and the
 # scalar loop finishes them; a block of no more lanes never enters the loop.
-# With 24 lanes live on 2e5 keys, one lockstep iteration costs 61-119 us
-# whatever the rules (2-vCPU VM, under load), against 0.5-0.7 us a scalar
-# probe for binary, 1.0-2.0 us for interpolation and 1.6-3.3 us for ITP: an
-# iteration costs as much as 125-140 binary, 50-65 interpolation or 33-40 ITP
-# probes.  Interpolation's slowest targets take ten times its median probe
-# count, so its tail is cheaper in the scalar loop.  Measured on a 200-target,
-# four-rule search of 2e5 text keys and on an 80-config ITP-Strict block of
-# three 2e5-key lists, in five interleaved sweeps: against 48, 64 was 0.96-1.00
-# on the text keys but 0.95-1.03 on the ITP-Strict block, so 48 stays; 32 and
-# below slow the text-key search (+2-9% at 32, +9-19% at 16), and 96 and above
-# the ITP-Strict block (+3-13% at 96, up to +28% at 128).
+# With 48 lanes on 2e5 uniform keys, one lockstep iteration costs 60-100 us,
+# the call's set-up shared in (71 us for binary, 61 us for interpolation,
+# 101 us for ITP-Relaxed; 2-vCPU VM), against 0.5-0.7 us a scalar probe for
+# binary, 1.0-2.0 us for interpolation and 1.6-3.3 us for ITP.
+# Interpolation's slowest targets take ten times its median probe count, so
+# its tail is cheaper in the scalar loop.  Measured per call, in 200
+# interleaved rounds, on 200-target four-rule searches of 2e5 text keys and
+# on 80-config ITP-Strict blocks of three 2e5-key lists: against 48, 32 took
+# 1.016 and 0.994 of the time and 64 took 0.992 and 1.027, so 48 stays.
 SCALAR_FINISH = 48
+
+# search_block drops its closed lanes from the lane arrays once this share of
+# them has closed; until then a closed lane rides along as a fixed point of
+# the step.  On the same two blocks, against 1/4, compacting at 1/8 took 1.006
+# and 1.027 of the time, at 3/8 0.993 and 0.993, and at 1/2 1.012 and 0.982.
+COMPACT = 0.25
 
 
 def search_many(lst: SortedList, zs, config: SearchConfig):
@@ -452,18 +456,22 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     Each lane reads its parameters from per-config arrays: the kappas, the
     cap and the radius anchor n_ref, which is -inf for binary (radius 0),
     +inf for interpolation (radius unbounded), ``variant.n_ref(n)`` for Strict
-    and Relaxed, and NaN for Local.  Every live bracket advances one probe per
-    iteration of one numpy loop, and retires as it closes or reaches its cap.
-    Each iteration evaluates the itp step once over all live lanes: the
-    truncation step is kappa1 * delta**kappa2 on ITP lanes and 0 elsewhere,
-    and the half-width of the minmax radius is 2**(n_ref - j - 1), or on a
-    Local lane the bit-length width of its bracket.  Binary and interpolation
-    come out bit for bit.  On a live lane va < z <= vb, so x_f is finite.  A
-    step of 0 leaves x_t = x_f: where sigma is 0, x_t is x_half, which equals
-    x_f.  An unbounded radius keeps x_t, and a radius of 0 gives
-    x_half - sigma * 0 = x_half, which rounds to (a + b) // 2.  The loop runs
-    while more than ``SCALAR_FINISH`` lanes are live, and the scalar loop
-    finishes the rest.
+    and Relaxed, and NaN for Local.  Every open bracket advances one probe per
+    iteration of one numpy loop.  Each iteration evaluates the itp step once
+    over all lanes: the truncation step is kappa1 * delta**kappa2 on ITP
+    lanes and 0 elsewhere, and the half-width of the minmax radius is
+    2**(n_ref - j - 1), or on a Local lane the bit-length width of its
+    bracket.  Binary and interpolation come out bit for bit.  On every lane
+    va < z <= vb, so x_f is finite.  A step of 0 leaves x_t = x_f: where
+    sigma is 0, x_t is x_half, which equals x_f.  An unbounded radius keeps
+    x_t, and a radius of 0 gives x_half - sigma * 0 = x_half, which rounds to
+    (a + b) // 2.  The brackets are float64, which holds every index below
+    2**53 exactly.  A closed bracket is a fixed
+    point of the step (its probe clamps to a, which moves nothing, and an
+    exact hit hits again), so closed lanes stay in the arrays, their probe
+    counts frozen, until ``COMPACT`` of the lanes has closed, a cap is spent,
+    or the scalar finish begins.  The loop runs while more than
+    ``SCALAR_FINISH`` lanes are open, and the scalar loop finishes the rest.
     """
     block = np.asarray(block, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
@@ -492,8 +500,11 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     # Lane i searches z[i] with configs[c[i]] on the keys flat[base[i] :
     # base[i] + n + 1] and writes its outcome at index lane[i] of the flattened
     # outputs, which is its (config, row, target).  The lanes run config by
-    # config with the ITP configs last, and retirement keeps their order, so
+    # config with the ITP configs last, and compaction keeps their order, so
     # the lanes from index t on are the ITP lanes, the only ones that truncate.
+    # The brackets a and b are float64, exact since every index is below 2**53.
+    # A closed lane stays in the arrays until the next compaction; q counts the
+    # probes of each lane, and live marks the lanes still searching.
     order = sorted(range(len(configs)), key=lambda i: configs[i].strategy is Strategy.ITP)
     flat = np.ascontiguousarray(block).reshape(-1)
     k_out, q_out, capped_out = k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1)
@@ -501,8 +512,8 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     lane = c * zs.size + np.concatenate((searched,) * len(order))
     base = np.concatenate((searched // zs.shape[1] * size,) * len(order))
     z = np.concatenate((zs.reshape(-1)[searched],) * len(order))
-    a = np.zeros(lane.size, dtype=np.int64)
-    b = np.full(lane.size, n, dtype=np.int64)
+    a = np.zeros(lane.size)
+    b = np.full(lane.size, float(n))
     va, vb = flat[base], flat[base + n]
     j = 0
     if lane.size > SCALAR_FINISH:
@@ -522,20 +533,32 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
         ]  # fmt: skip
         levels, level = np.unique(np.array(anchors, dtype=np.float64), return_inverse=True)
         levels = levels.tolist()
+        local = None in anchors
+        # Every lane has va < z <= vb (va only ever takes a key below z, vb one
+        # at or above it), and sorted rows hold their largest magnitude at an
+        # end.  So |va - z|, |vb - z| and |d| are at most twice the largest end,
+        # and while n times it is below 2**1020 no product, difference or sum
+        # in x_f reaches 2**1024; and since |va - z| and |vb - z| are at most
+        # |d| and d is not 0, x_f is finite.  Only above that bound can the
+        # interpolation line overflow and need its redo from halved keys.
+        wide = n * float(max(-v0.min(), vn.max())) >= 2.0**1020
+        q = np.zeros(lane.size, dtype=np.int64)
+        live = np.ones(lane.size, dtype=bool)
     # the interpolation line overflows on keys near +-1.7e308: its warnings are
     # ignored, and the lanes whose line overflows are redone from halved keys
     with np.errstate(over="ignore", invalid="ignore"):
         while lane.size > SCALAR_FINISH:
             x_half = (a + b) / 2
             delta = b - a
-            # interpolation_point: a live lane has va < z <= vb (va only ever
-            # takes a key below z), so the flat-bracket midpoint never applies
+            # interpolation_point: on every lane va < z <= vb, so the
+            # flat-bracket midpoint never applies
             d = va - vb
             x_f = (b * (va - z) - a * (vb - z)) / d
-            redo = ~(np.isfinite(x_f) & np.isfinite(d))
-            if redo.any():
-                ar, br, var, vbr, zr = a[redo], b[redo], va[redo], vb[redo], z[redo]
-                x_f[redo] = ar + (br - ar) * ((zr / 2 - var / 2) / (vbr / 2 - var / 2))
+            if wide:
+                redo = ~(np.isfinite(x_f) & np.isfinite(d))
+                if redo.any():
+                    ar, br, var, vbr, zr = a[redo], b[redo], va[redo], vb[redo], z[redo]
+                    x_f[redo] = ar + (br - ar) * ((zr / 2 - var / 2) / (vbr / 2 - var / 2))
             x_f = np.minimum(np.maximum(x_f, a), b)
             # truncate, by a step of 0 on binary and interpolation lanes.  Each
             # operation is the scalar rule's IEEE operation but the powers:
@@ -549,22 +572,21 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             step[t:] = kappa1s[c[t:]] * np.fromiter(powers, np.float64, lane.size - t)
             x_t = x_f + sigma * step
             short = np.where(sigma > 0, x_t < x_half, x_t > x_half)
-            x_t = np.where((step <= np.abs(gap)) & short, x_t, x_half)
+            np.putmask(x_t, ~((step <= np.abs(gap)) & short), x_half)
             # minmax_radius, from each lane's half-width 2 ** (n_ref - j - 1)
             width = np.array([2.0 ** (n_ref - j - 1) for n_ref in levels])[level[c]]
-            local = np.isnan(width)
-            if local.any():  # Local: 2 ** (bit_length(delta - 1) - 1)
-                exp = np.frexp((delta[local] - 1).astype(np.float64))[1] - 1
-                width[local] = np.ldexp(1.0, exp)
-            r = width - delta / 2
-            r = np.where(r > 0, r, 0.0)
+            if local:  # Local: 2 ** (bit_length(delta - 1) - 1), on NaN widths
+                lanes = np.isnan(width)
+                width[lanes] = np.ldexp(1.0, np.frexp(delta[lanes] - 1)[1] - 1)
+            r = np.maximum(width - delta / 2, 0.0)
             # project
-            x_itp = np.where(np.abs(x_t - x_half) <= r, x_t, x_half - sigma * r)
-            # round_toward_midpoint
-            f = np.floor(x_itp)
-            k = np.where((f != x_itp) & (x_itp < x_half), f + 1, f).astype(np.int64)
+            np.putmask(x_t, np.abs(x_t - x_half) > r, x_half - sigma * r)
+            # round_toward_midpoint, then into (a, b): a closed lane probes a,
+            # which moves nothing, and an exact hit hits again
+            f = np.floor(x_t)
+            k = f + ((f != x_t) & (x_t < x_half))
             k = np.minimum(np.maximum(k, a + 1), b - 1)
-            v_k = flat[base + k]
+            v_k = flat[base + k.astype(np.int64)]
             above = v_k > z
             below = v_k < z
             # the bracket arrays are this loop's own copies: update them in place
@@ -572,26 +594,37 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             np.putmask(vb, above, v_k)
             np.putmask(a, ~above, k)
             np.putmask(va, below, v_k)
-            np.putmask(b, v_k == z, k + 1)  # exact hit: the cell (k, k+1)
+            hit = v_k == z
+            if hit.any():  # exact hit: the cell (k, k+1)
+                np.putmask(b, hit, k + 1)
+            q += live
             j += 1
-            # retire closed brackets, then open ones whose cap is spent, as _descend does
-            stop = b - a <= 1
+            live = b - a > 1
+            live_count = np.count_nonzero(live)
+            # compact once enough lanes have closed, when a cap is spent (its
+            # lanes retire as _descend's would), or before the scalar finish
+            stop = None
             if j >= first_cap:
-                spent = ~stop & (caps[c] <= j)
-                capped_out[lane[spent]] = True
-                stop |= spent
-            if stop.any():
+                spent = live & (caps[c] <= j)
+                if spent.any():
+                    capped_out[lane[spent]] = True
+                    stop = ~live | spent
+            if stop is None and (
+                live_count <= SCALAR_FINISH or lane.size - live_count >= COMPACT * lane.size
+            ):
+                stop = ~live
+            if stop is not None:
                 done = lane[stop]
                 k_out[done] = a[stop]
-                q_out[done] = j
+                q_out[done] = q[stop]
                 t -= np.count_nonzero(stop[:t])  # the first ITP lane moves back
                 keep = ~stop
-                lane, c, base, z = lane[keep], c[keep], base[keep], z[keep]
-                a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+                lane, c, base, z, q = lane[keep], c[keep], base[keep], z[keep], q[keep]
+                a, b, va, vb, live = a[keep], b[keep], va[keep], vb[keep], live[keep]
     probes = {ci: make_probe_fn(configs[ci], n) for ci in set(c.tolist())}
     lanes = zip(
         lane.tolist(), c.tolist(), base.tolist(), z.tolist(),
-        a.tolist(), b.tolist(), va.tolist(), vb.tolist(),
+        a.astype(np.int64).tolist(), b.astype(np.int64).tolist(), va.tolist(), vb.tolist(),
     )  # fmt: skip
     for i, ci, start, zi, ai, bi, vai, vbi in lanes:
         k_out[i], q_out[i], capped_out[i] = _descend(

@@ -175,6 +175,28 @@ def test_sample_target_overflowing_span():
     assert all(lo < sample_target(lo, hi, t) < hi for t in range(100))
 
 
+class _StubGenerator(np.random.Generator):
+    """A Generator whose random() returns the given draws in order."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_sample_target_redraws_an_endpoint_hit():
+    # a draw of 0.0 lands on lo (probability 2**-53, so no seeded stream
+    # reaches it) and must be redrawn, in both the plain and the halved branch
+    for lo, hi in ((0.25, 0.75), (-1.7e308, 1.7e308)):
+        stub = _StubGenerator([0.0, 0.5])
+        z = sample_target(lo, hi, stub)
+        assert lo < z < hi
+        assert z == sample_target(lo, hi, _StubGenerator([0.5]))
+        assert stub.draws == []
+
+
 def test_spec_validation():
     # a NaN or infinite sigma or rate used to pass: sample_list then never
     # returned (no draw is accepted) or, for rate=inf, drew only zeros; these

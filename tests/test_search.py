@@ -898,6 +898,54 @@ def test_search_block_one_group_runs_long():
     assert queries[2, 0].max() > 300
 
 
+def test_strict_is_binary_at_powers_of_two():
+    # at n = 2**m Strict's radius 2**(m - j - 1) - delta/2 is 0 at every step
+    # (delta = 2**(m - j) along the binary path), so every probe is the midpoint
+    binary, strict = SearchConfig.binary(), SearchConfig.itp(Strict())
+    for m in (4, 10, 14):
+        n = 2**m
+        for i, spec in enumerate((Uniform(), Gaussian(), Step())):
+            rng = np.random.default_rng([m, i])
+            lst = sample_list(spec, n, rng)
+            zs = [sample_target(lst[0], lst[n], rng) for _ in range(30)]
+            zs += lst.values[rng.integers(0, n + 1, 10)].tolist()
+            for z in zs:
+                assert search(lst, z, strict) == search(lst, z, binary)
+            k_star, queries, capped = search_block(lst.values[np.newaxis], [zs], [binary, strict])
+            assert np.array_equal(k_star[0], k_star[1])
+            assert np.array_equal(queries[0], queries[1])
+            assert queries.max() <= m
+
+
+def test_search_block_overflow_bound_edge():
+    # search_block redoes overflowing interpolation lines only when n times
+    # the largest |row end| reaches 2**1020; below it no line can overflow.
+    # Skewed rows end just inside and just outside that bound, and a third
+    # pair of rows where the line does overflow (n * 2M is inf).
+    n = 1000
+    inside = 2.0**1020 / n
+    while n * inside >= 2.0**1020:
+        inside = math.nextafter(inside, 0)
+    outside = math.nextafter(inside, math.inf)
+    assert n * inside < 2.0**1020 <= n * outside
+    overflow = 2.0**1015
+    assert n * (2 * overflow) == math.inf
+    even = np.linspace(-1.0, 1.0, n + 1)
+    rng = np.random.default_rng(17)
+    configs = [
+        SearchConfig.binary(),
+        SearchConfig.interpolation(),
+        SearchConfig.itp(Strict()),
+        SearchConfig.itp(Relaxed()),
+        SearchConfig.itp(Local()),
+    ]
+    for end in (inside, outside, overflow):
+        block = np.array([end * even**3, end * np.cbrt(even)])
+        assert (block[:, 0] == -end).all() and (block[:, n] == end).all()
+        zs = np.hstack([end * (2 * rng.random((2, 20)) - 1), block[:, 1:n:97]])
+        _assert_block_matches(block, zs, configs)
+
+
 # sha256 of _scalar_traces(), pinned with numpy 2.4.6 (PCG64 streams draw the
 # seeded lists and targets)
 SCALAR_TRACES_SHA256 = "0908336658f5e03f63379d09ba8617e2a96f9ea86f4727620657aa1ec17cebc2"
