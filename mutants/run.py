@@ -72,7 +72,7 @@ MUTANTS = [
     # search_block's lockstep loop
     Mutant(
         "block-power-numpy", SEARCH,
-        "powers = map(pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())",
+        "powers = map(math.pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())",
         "powers = np.power(delta[t:], kappa2s[c[t:]])",
     ),
     Mutant(

@@ -544,12 +544,12 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
         wide = n * float(max(-v0.min(), vn.max())) >= 2.0**1020
         q = np.zeros(lane.size, dtype=np.int64)
         live = np.ones(lane.size, dtype=bool)
+        delta = b - a
     # the interpolation line overflows on keys near +-1.7e308: its warnings are
     # ignored, and the lanes whose line overflows are redone from halved keys
     with np.errstate(over="ignore", invalid="ignore"):
         while lane.size > SCALAR_FINISH:
             x_half = (a + b) / 2
-            delta = b - a
             # interpolation_point: on every lane va < z <= vb, so the
             # flat-bracket midpoint never applies
             d = va - vb
@@ -563,15 +563,18 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             # truncate, by a step of 0 on binary and interpolation lanes.  Each
             # operation is the scalar rule's IEEE operation but the powers:
             # np.power differs from C pow in the last bit for about 5% of
-            # deltas, so they are taken with Python's pow (lane by lane here,
-            # once per distinct anchor for the half-width)
+            # deltas, so they are taken with C pow, as ``**`` takes them on
+            # floats (math.pow lane by lane here, ``**`` once per distinct
+            # anchor for the half-width).  sigma * (x_t - x_half) < 0 is the
+            # scalar test that x_t stopped short of x_half on sigma's side:
+            # the difference of two floats has the sign of their order.
             gap = x_half - x_f
             sigma = np.sign(gap)
-            powers = map(pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())
+            powers = map(math.pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())
             step = np.zeros(lane.size)
             step[t:] = kappa1s[c[t:]] * np.fromiter(powers, np.float64, lane.size - t)
             x_t = x_f + sigma * step
-            short = np.where(sigma > 0, x_t < x_half, x_t > x_half)
+            short = sigma * (x_t - x_half) < 0
             np.putmask(x_t, ~((step <= np.abs(gap)) & short), x_half)
             # minmax_radius, from each lane's half-width 2 ** (n_ref - j - 1)
             width = np.array([2.0 ** (n_ref - j - 1) for n_ref in levels])[level[c]]
@@ -590,16 +593,19 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             above = v_k > z
             below = v_k < z
             # the bracket arrays are this loop's own copies: update them in place
+            # (a takes k where v_k < z, and on an exact hit)
             np.putmask(b, above, k)
             np.putmask(vb, above, v_k)
-            np.putmask(a, ~above, k)
+            np.putmask(a, below, k)
             np.putmask(va, below, v_k)
             hit = v_k == z
             if hit.any():  # exact hit: the cell (k, k+1)
+                np.putmask(a, hit, k)
                 np.putmask(b, hit, k + 1)
             q += live
             j += 1
-            live = b - a > 1
+            delta = b - a
+            live = delta > 1
             live_count = np.count_nonzero(live)
             # compact once enough lanes have closed, when a cap is spent (its
             # lanes retire as _descend's would), or before the scalar finish
@@ -620,7 +626,8 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
                 t -= np.count_nonzero(stop[:t])  # the first ITP lane moves back
                 keep = ~stop
                 lane, c, base, z, q = lane[keep], c[keep], base[keep], z[keep], q[keep]
-                a, b, va, vb, live = a[keep], b[keep], va[keep], vb[keep], live[keep]
+                a, b, va, vb = a[keep], b[keep], va[keep], vb[keep]
+                delta, live = delta[keep], live[keep]
     probes = {ci: make_probe_fn(configs[ci], n) for ci in set(c.tolist())}
     lanes = zip(
         lane.tolist(), c.tolist(), base.tolist(), z.tolist(),
