@@ -13,8 +13,8 @@ Usage (from the repository root; stdlib only, besides pytest and hypothesis)::
     python mutants/run.py            # every mutant
     python mutants/run.py NAME ...   # the named mutants
 
-The exit status is 1 when a mutant survives.  A survivor is answered by a
-new test or by a reason, given next to the mutant below.
+The exit status is 1 unless every mutant is killed.  A survivor is answered
+by a new test or by a reason, given next to the mutant below.
 """
 
 from __future__ import annotations

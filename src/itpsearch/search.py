@@ -408,21 +408,22 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
 
 # search_block's lockstep loop stops once this few lanes are open, and the
 # scalar loop finishes them; a block of no more lanes never enters the loop.
-# With 48 lanes on 2e5 uniform keys, one lockstep iteration costs 60-100 us,
-# the call's set-up shared in (71 us for binary, 61 us for interpolation,
-# 101 us for ITP-Relaxed; 2-vCPU VM), against 0.5-0.7 us a scalar probe for
-# binary, 1.0-2.0 us for interpolation and 1.6-3.3 us for ITP.
-# Interpolation's slowest targets take ten times its median probe count, so
-# its tail is cheaper in the scalar loop.  Measured per call, in 200
-# interleaved rounds, on 200-target four-rule searches of 2e5 text keys and
-# on 80-config ITP-Strict blocks of three 2e5-key lists: against 48, 32 took
-# 1.016 and 0.994 of the time and 64 took 0.992 and 1.027, so 48 stays.
+# With 48 lanes on 2e5 uniform keys, one lockstep iteration costs 60-115 us,
+# the call's set-up shared in (61-103 us for interpolation, 71-77 us for
+# binary, 101-112 us for ITP-Relaxed; 2-vCPU VM, two sessions), against
+# 0.5-0.7 us a scalar probe for binary, 1.0-2.0 us for interpolation and
+# 1.6-3.3 us for ITP.  Interpolation's slowest targets take ten times its
+# median probe count, so its tail is cheaper in the scalar loop.  Measured
+# per call, in 200 interleaved rounds, on 200-target four-rule searches of
+# 2e5 text keys and on 80-config ITP-Strict blocks of three 2e5-key lists:
+# against 48, 32 took 1.022 and 0.991 of the time and 64 took 0.997 and
+# 1.029, so 48 stays.
 SCALAR_FINISH = 48
 
 # search_block drops its closed lanes from the lane arrays once this share of
 # them has closed; until then a closed lane rides along as a fixed point of
-# the step.  On the same two blocks, against 1/4, compacting at 1/8 took 1.006
-# and 1.027 of the time, at 3/8 0.993 and 0.993, and at 1/2 1.012 and 0.982.
+# the step.  On the same two blocks, against 1/4, compacting at 1/8 took 1.001
+# and 1.018 of the time, at 3/8 0.998 and 0.997, and at 1/2 1.006 and 0.981.
 COMPACT = 0.25
 
 
@@ -466,12 +467,12 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     sigma is 0, x_t is x_half, which equals x_f.  An unbounded radius keeps
     x_t, and a radius of 0 gives x_half - sigma * 0 = x_half, which rounds to
     (a + b) // 2.  The brackets are float64, which holds every index below
-    2**53 exactly.  A closed bracket is a fixed
-    point of the step (its probe clamps to a, which moves nothing, and an
-    exact hit hits again), so closed lanes stay in the arrays, their probe
-    counts frozen, until ``COMPACT`` of the lanes has closed, a cap is spent,
-    or the scalar finish begins.  The loop runs while more than
-    ``SCALAR_FINISH`` lanes are open, and the scalar loop finishes the rest.
+    2**53 exactly.  A closed bracket is a fixed point of the step (its probe
+    clamps to a, which moves nothing, and an exact hit hits again), so closed
+    lanes stay in the arrays, their probe counts frozen, until ``COMPACT`` of
+    the lanes has closed, a cap is spent, or the scalar finish begins.  The
+    loop runs while more than ``SCALAR_FINISH`` lanes are open, and the
+    scalar loop finishes the rest.
     """
     block = np.asarray(block, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
@@ -502,9 +503,9 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     # outputs, which is its (config, row, target).  The lanes run config by
     # config with the ITP configs last, and compaction keeps their order, so
     # the lanes from index t on are the ITP lanes, the only ones that truncate.
-    # The brackets a and b are float64, exact since every index is below 2**53.
-    # A closed lane stays in the arrays until the next compaction; q counts the
-    # probes of each lane, and live marks the lanes still searching.
+    # The brackets a and b are float64.  A closed lane stays in the arrays
+    # until the next compaction: q counts each lane's probes, and live marks
+    # the lanes still open.
     order = sorted(range(len(configs)), key=lambda i: configs[i].strategy is Strategy.ITP)
     flat = np.ascontiguousarray(block).reshape(-1)
     k_out, q_out, capped_out = k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1)
@@ -579,8 +580,8 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             # minmax_radius, from each lane's half-width 2 ** (n_ref - j - 1)
             width = np.array([2.0 ** (n_ref - j - 1) for n_ref in levels])[level[c]]
             if local:  # Local: 2 ** (bit_length(delta - 1) - 1), on NaN widths
-                lanes = np.isnan(width)
-                width[lanes] = np.ldexp(1.0, np.frexp(delta[lanes] - 1)[1] - 1)
+                unset = np.isnan(width)
+                width[unset] = np.ldexp(1.0, np.frexp(delta[unset] - 1)[1] - 1)
             r = np.maximum(width - delta / 2, 0.0)
             # project
             np.putmask(x_t, np.abs(x_t - x_half) > r, x_half - sigma * r)

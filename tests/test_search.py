@@ -909,11 +909,12 @@ def test_strict_is_binary_at_powers_of_two():
             lst = sample_list(spec, n, rng)
             zs = [sample_target(lst[0], lst[n], rng) for _ in range(30)]
             zs += lst.values[rng.integers(0, n + 1, 10)].tolist()
-            for z in zs:
-                assert search(lst, z, strict) == search(lst, z, binary)
+            outcomes = [search(lst, z, strict) for z in zs]
+            assert outcomes == [search(lst, z, binary) for z in zs]
             k_star, queries, capped = search_block(lst.values[np.newaxis], [zs], [binary, strict])
             assert np.array_equal(k_star[0], k_star[1])
             assert np.array_equal(queries[0], queries[1])
+            assert queries[1, 0].tolist() == [o.queries for o in outcomes]
             assert queries.max() <= m
 
 
