@@ -92,7 +92,6 @@ MUTANTS = [
     ),
     Mutant("block-first-config-anchor", SEARCH, "for n_ref in levels])[level[c]]", "for n_ref in levels])[level[c * 0]]"),
     Mutant("block-no-local-width", SEARCH, "if local:", "if False:"),
-    Mutant("block-no-overflow-redo", SEARCH, "if redo.any():", "if False:"),
     Mutant(
         "block-overflow-bound-1030", SEARCH,
         "wide = n * float(max(-v0.min(), vn.max())) >= 2.0**1020",
@@ -114,9 +113,16 @@ MUTANTS = [
     ),
     Mutant("block-no-exact-hit", SEARCH, "np.putmask(b, hit, k + 1)", "None"),
     Mutant("block-no-probe-count", SEARCH, "q += live", "q += 0"),
-    Mutant("block-cap-off-by-one", SEARCH, "(caps[c] <= j)", "(caps[c] < j)"),
-    Mutant("block-no-spent-cap-compaction", SEARCH, "stop = ~live | spent", "stop = None"),
+    Mutant(
+        "block-cap-off-by-one", SEARCH,
+        "while live_count > SCALAR_FINISH and j < first_cap:",
+        "while live_count > SCALAR_FINISH and j <= first_cap:",
+    ),
     Mutant("block-first-itp-lane-fixed", SEARCH, "t -= np.count_nonzero(stop[:t])", "t -= 0"),
+    Mutant(
+        "block-step-overflow-warns", SEARCH,
+        'np.errstate(over="ignore", invalid="ignore")', 'np.errstate(invalid="ignore")',
+    ),
     Mutant(
         "block-row-zero-keys", SEARCH,
         "base = np.concatenate((searched // zs.shape[1] * size,) * len(order))",
@@ -124,8 +130,13 @@ MUTANTS = [
     ),
     Mutant(
         "block-finish-from-zero", SEARCH,
-        "configs[ci].cap, ai, bi, j, vai, vbi, []",
+        "configs[ci].cap, ai, bi, qi, vai, vbi, []",
         "configs[ci].cap, ai, bi, 0, vai, vbi, []",
+    ),
+    Mutant(
+        "block-finish-from-j", SEARCH,
+        "configs[ci].cap, ai, bi, qi, vai, vbi, []",
+        "configs[ci].cap, ai, bi, j, vai, vbi, []",
     ),
     # distributions and the trial runner
     Mutant(

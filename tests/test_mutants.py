@@ -21,4 +21,7 @@ def test_each_mutant_old_text_occurs_once():
         text = (ROOT / mutant.file).read_text()
         assert text.count(mutant.old) == 1, (mutant.name, text.count(mutant.old))
         assert mutant.new != mutant.old, mutant.name
+        # a mutant must compile: one that does not shows up only as an error,
+        # after a full mutation run
+        compile(text.replace(mutant.old, mutant.new), mutant.file, "exec")
         assert all((ROOT / test).is_file() for test in mutant.tests), mutant.name

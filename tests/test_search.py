@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -725,7 +726,9 @@ def test_search_many_midpoint_ties():
 def _assert_block_matches(block, zs, configs):
     """search_block gives search's (k*, queries, capped) on every (config,
     row, target) lane, or its error: in lockstep to the end, with the scalar
-    finish, and with every lane in the scalar loop."""
+    finish, with every lane in the scalar loop, and with no compaction, so
+    that every lane, closed or open, leaves the loop through the scalar
+    finish from its own probe count."""
     lists = [SortedList(row) for row in block]
 
     def scalar():
@@ -746,6 +749,8 @@ def _assert_block_matches(block, zs, configs):
     for finish in (0, search_module.SCALAR_FINISH, np.size(zs) * len(configs)):
         with mock.patch.object(search_module, "SCALAR_FINISH", finish):
             assert _result_or_error(batch) == want
+    with mock.patch.multiple(search_module, SCALAR_FINISH=0, COMPACT=2):
+        assert _result_or_error(batch) == want
 
 
 @st.composite
@@ -764,7 +769,7 @@ def _adversarial_block(draw):
 
 @given(case=_adversarial_block(), configs=st.lists(_batch_configs, min_size=1, max_size=6))
 @example(
-    # the interpolation line overflows, and is redone, on binary lanes too
+    # the interpolation line can overflow, so the scalar loop searches every lane
     case=(
         np.array([[-HUGE, -1e308, 0.0, 1e308, HUGE], [-HUGE, -1.0, 0.0, 1.0, HUGE]]),
         np.array([[1.5e308, -1.5e308, 1e308, 0.5, HUGE], [1.5e308, -1.5e308, -1.0, 0.5, 1.0]]),
@@ -790,7 +795,8 @@ def test_search_block_matches_search_adversarial(case, configs):
 def test_search_block_mixed_lanes():
     # rows of one n drawn from different shapes; the lanes of each rule have
     # different kappas and caps, Relaxed(extra=0.0) shares Strict's anchor, and
-    # the last config repeats the first ITP one
+    # the last config repeats the first ITP one.  The loop stops at the
+    # smallest cap, so the configs run once more, all uncapped, in lockstep
     n = 3000
     specs = (Uniform(), Gaussian(), Exponential(rate=math.log(n)), Step())
     block = np.array([sample_list(spec, n, 40 + i).values for i, spec in enumerate(specs)])
@@ -810,6 +816,7 @@ def test_search_block_mixed_lanes():
     ]
     configs += [SearchConfig.itp(Relaxed(extra=0.0)), configs[len(caps) * 2]]
     _assert_block_matches(block, zs, configs)
+    _assert_block_matches(block, zs, [dataclasses.replace(c, cap=DEFAULT_CAP) for c in configs])
 
 
 def test_search_block_edges():
@@ -827,6 +834,14 @@ def test_search_block_edges():
     k_star, queries, capped = search_block([[0.0, 1.0]] * 3, [[0.5]] * 3, configs)
     assert k_star.tolist() == queries.tolist() == [[[0]] * 3] * 2
     assert capped.tolist() == [[[False]] * 3] * 2
+    # a huge kappa1 overflows the step to inf, as in truncate, without a warning
+    keys = np.linspace(0.0, 1.0, 2001)[np.newaxis]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_block_matches(
+            keys, np.random.default_rng(3).random((1, 60)),
+            [SearchConfig.itp(kappa1=1e308), SearchConfig.interpolation()],
+        )  # fmt: skip
     with pytest.raises(ValueError, match="2-D block"):
         search_block(block[0], [[0.1]], configs)
     with pytest.raises(ValueError, match="one row per key row"):
@@ -886,12 +901,15 @@ def test_search_block_interleaved_groups():
 
 def test_search_block_one_group_runs_long():
     # interpolation crawls one key at a time up a geometric row, long after
-    # binary is done; the middle config (ITP-Strict, capped at 2) retires first
+    # binary is done.  The middle config (ITP-Strict, capped at 2) stops the
+    # loop after two probes and leaves every lane to the scalar loop, so the
+    # block runs once more without it, where the crawl runs in lockstep
     n = 600
     block = np.array([np.geomspace(1e-300, 1.0, n + 1), np.linspace(0.0, 1.0, n + 1)])
     zs = np.hstack([block[:, 1 : n : 23], (block[:, 1 : n : 41] + block[:, 2 : n + 1 : 41]) / 2])
     configs = [SearchConfig.binary(), SearchConfig.itp(Strict(), cap=2), SearchConfig.interpolation()]
     _assert_block_matches(block, zs, configs)
+    _assert_block_matches(block, zs, configs[::2])
     queries = search_block(block, zs, configs)[1]
     assert queries[0].max() <= minmax_bound(n)
     assert queries[1].max() == 2
@@ -919,8 +937,9 @@ def test_strict_is_binary_at_powers_of_two():
 
 
 def test_search_block_overflow_bound_edge():
-    # search_block redoes overflowing interpolation lines only when n times
-    # the largest |row end| reaches 2**1020; below it no line can overflow.
+    # search_block leaves a block to the scalar loop, which redoes overflowing
+    # interpolation lines, when n times the largest |row end| reaches 2**1020;
+    # below it no line can overflow.
     # Skewed rows end just inside and just outside that bound, and a third
     # pair of rows where the line does overflow (n * 2M is inf).
     n = 1000
