@@ -475,11 +475,10 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     overflow the interpolation line (n times its largest |row end| at least
     2**1020) skips it.  The scalar loop finishes every lane that is left, from
     that lane's own probe count, so ``search``'s loop is the only code that
-    spends a cap.  The two early exits cost time where they are taken, which
-    no benchmark workload does: a 200-target, 4-config call on 2e5 text keys
-    with one config capped at 5 took 14.6 ms, and one on 2e5 keys out to
-    +-1.7e308 took 11.4 ms, against 4.2 and 3.2 ms when the loop retired
-    capped lanes and redid overflowing lines itself (median of 30 rounds).
+    spends a cap.  A cap below the search depth, shared or not, and a block
+    that skips the loop are searched more slowly for it, since their lanes
+    pass through the scalar loop one by one (``BENCH_18.json``
+    ``library_cases`` has the figures).
     """
     block = np.asarray(block, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)

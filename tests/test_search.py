@@ -786,10 +786,13 @@ def _adversarial_block(draw):
         SearchConfig.itp(Relaxed()),
     ],
 )
-@settings(max_examples=200, deadline=None)  # up to 1272 lanes, each searched four times
+@settings(max_examples=200, deadline=None)  # up to 1272 lanes, each searched ten times
 def test_search_block_matches_search_adversarial(case, configs):
+    # the loop stops at the smallest cap, so the configs run once more, all
+    # uncapped, in lockstep to the end
     block, zs = case
     _assert_block_matches(block, zs, configs)
+    _assert_block_matches(block, zs, [dataclasses.replace(c, cap=DEFAULT_CAP) for c in configs])
 
 
 def test_search_block_mixed_lanes():
