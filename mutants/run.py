@@ -3,10 +3,12 @@
 Each mutant is (name, file, old, new, tests): ``old`` is text that occurs
 exactly once in ``file`` (``tests/test_mutants.py`` checks this, so code that
 moves must take its mutants along), and ``new`` is the fault put in its
-place.  For each mutant the runner copies the tree to a temporary directory,
-applies the mutant there, runs ``pytest -x`` on the mutant's test files with
-a fixed Hypothesis seed, and prints ``killed`` with the first failing test,
-or ``survived``.  The working tree is never touched.
+place.  The runner copies the working tree once, at the start, so one run
+tests one tree however the working tree changes meanwhile.  For each mutant
+it copies that snapshot to a fresh directory, applies the mutant there, runs
+``pytest -x`` on the mutant's test files with a fixed Hypothesis seed, and
+prints ``killed`` with the first failing test, or ``survived``.  The working
+tree is never touched.
 
 Usage (from the repository root; stdlib only, besides pytest and hypothesis)::
 
@@ -72,8 +74,8 @@ MUTANTS = [
     # search_block's lockstep loop
     Mutant(
         "block-power-numpy", SEARCH,
-        "powers = map(math.pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())",
-        "powers = np.power(delta[t:], kappa2s[c[t:]])",
+        "np.float_power(delta[t:], kappa2s[ct])",
+        "np.power(delta[t:], kappa2s[ct])",
     ),
     Mutant(
         "block-binary-anchor-strict", SEARCH,
@@ -108,7 +110,7 @@ MUTANTS = [
     Mutant("block-tie-rule", SEARCH, "(f != x_t) & (x_t < x_half)", "(f != x_t) & (x_t <= x_half)"),
     Mutant(
         "block-no-step", SEARCH,
-        "step[t:] = kappa1s[c[t:]] * np.fromiter(powers, np.float64, lane.size - t)",
+        "step[t:] = kappa1s[ct] * np.float_power(delta[t:], kappa2s[ct])",
         "step[t:] = 0.0",
     ),
     Mutant("block-no-exact-hit", SEARCH, "np.putmask(b, hit, k + 1)", "None"),
@@ -164,12 +166,12 @@ def _ignore(directory, names):
     return [name for name in names if name in skip]
 
 
-def run(mutant: Mutant) -> tuple[str, str]:
-    """Apply ``mutant`` to a copy of the tree and run its tests; returns
-    (verdict, first failing test or the tail of pytest's output)."""
+def run(mutant: Mutant, snapshot: Path) -> tuple[str, str]:
+    """Apply ``mutant`` to a fresh copy of ``snapshot`` and run its tests;
+    returns (verdict, first failing test or the tail of pytest's output)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
-        shutil.copytree(ROOT, tree, ignore=_ignore)
+        shutil.copytree(snapshot, tree)
         path = tree / mutant.file
         text = path.read_text()
         if text.count(mutant.old) != 1:
@@ -197,11 +199,14 @@ def main(argv: list[str]) -> int:
         return 2
     chosen = [known[name] for name in argv] if argv else MUTANTS
     verdicts = []
-    for mutant in chosen:
-        start = time.perf_counter()
-        verdict, detail = run(mutant)
-        verdicts.append(verdict)
-        print(f"{verdict:9} {mutant.name:36} {time.perf_counter() - start:5.1f}s  {detail}", flush=True)
+    with tempfile.TemporaryDirectory(prefix="mutants-snapshot-") as tmp:
+        snapshot = Path(tmp) / "tree"
+        shutil.copytree(ROOT, snapshot, ignore=_ignore)
+        for mutant in chosen:
+            start = time.perf_counter()
+            verdict, detail = run(mutant, snapshot)
+            verdicts.append(verdict)
+            print(f"{verdict:9} {mutant.name:36} {time.perf_counter() - start:5.1f}s  {detail}", flush=True)
     counts = {verdict: verdicts.count(verdict) for verdict in dict.fromkeys(verdicts)}
     print(", ".join(f"{count} {verdict}" for verdict, count in counts.items()))
     return 0 if verdicts.count("killed") == len(verdicts) else 1

@@ -211,7 +211,7 @@ class SearchConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SearchOutcome:
     """Result of one search: located cell, probe count and trace."""
 
@@ -219,6 +219,16 @@ class SearchOutcome:
     queries: int
     trace: tuple[int, ...]
     capped: bool = False
+
+    def __init__(self, k_star: int, queries: int, trace: tuple[int, ...], capped: bool = False):
+        # writes the instance dict: the generated frozen __init__ makes one
+        # object.__setattr__ call per field, and took 1.2 us a construction
+        # against 0.4 us for this on CPython 3.11
+        fields = self.__dict__
+        fields["k_star"] = k_star
+        fields["queries"] = queries
+        fields["trace"] = trace
+        fields["capped"] = capped
 
 
 def minmax_bound(n: int) -> int:
@@ -402,29 +412,30 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
     k_star, queries, capped = _descend(
         v, z, make_probe_fn(config, n), config.cap, 0, n, 0, v0, vn, trace
     )
-    # positional: the frozen dataclass's keyword call costs about 0.2 us more
+    # positional: a keyword call costs about 0.35 us more
     return SearchOutcome(k_star, queries, tuple(trace), capped)
 
 
 # search_block's lockstep loop stops once this few lanes are open, and the
 # scalar loop finishes them; a block of no more lanes never enters the loop.
-# With 48 lanes on 2e5 uniform keys, one lockstep iteration costs 60-115 us,
-# the call's set-up shared in (61-103 us for interpolation, 71-77 us for
-# binary, 101-112 us for ITP-Relaxed; 2-vCPU VM, two sessions), against
-# 0.5-0.7 us a scalar probe for binary, 1.0-2.0 us for interpolation and
-# 1.6-3.3 us for ITP.  Interpolation's slowest targets take ten times its
-# median probe count, so its tail is cheaper in the scalar loop.  Measured
-# per call, in 200 interleaved rounds, on 200-target four-rule searches of
-# 2e5 text keys and on 80-config ITP-Strict blocks of three 2e5-key lists:
-# against 48, 32 took 1.022 and 0.991 of the time and 64 took 0.997 and
-# 1.029, so 48 stays.
+# With 48 lanes on 2e5 uniform keys, one lockstep iteration costs 47-81 us for
+# binary, 56-102 us for interpolation and 65-104 us for ITP, the call's set-up
+# shared in, against 0.4-0.8 us a scalar probe for binary, 1.2-2.3 us for
+# interpolation and 1.9-3.6 us for ITP (2-vCPU VM whose speed swings, two
+# runs).  Interpolation's slowest targets take ten times its median probe
+# count, so its tail is cheaper in the scalar loop.  Measured per call, in 200
+# interleaved rounds, on 200-target four-rule searches of 2e5 text keys and on
+# 80-config ITP-Strict blocks of three 2e5-key lists: against 48, 32 took
+# 1.022 and 0.994 of the time, 64 took 0.997 and 1.048, and 96 took 0.996 and
+# 1.161, so 48 stays.
 SCALAR_FINISH = 48
 
 # search_block drops its closed lanes from the lane arrays once this share of
 # them has closed; until then a closed lane rides along as a fixed point of
-# the step.  On the same two blocks, against 1/4, compacting at 1/8 took 1.001
-# and 1.018 of the time, at 3/8 0.998 and 0.997, and at 1/2 1.006 and 0.981.
-COMPACT = 0.25
+# the step.  On the same two blocks, in two runs, against 1/4, compacting at
+# 1/8 took 1.012-1.015 and 1.035-1.039 of the time, at 3/8 0.986-0.987 and
+# 0.980-0.981, and at 1/2 0.995-0.997 and 0.975-0.978.
+COMPACT = 0.375
 
 
 def search_many(lst: SortedList, zs, config: SearchConfig):
@@ -460,7 +471,9 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     and Relaxed, and NaN for Local.  Every open bracket advances one probe per
     iteration of one numpy loop.  Each iteration evaluates the itp step once
     over all lanes: the truncation step is kappa1 * delta**kappa2 on ITP
-    lanes and 0 elsewhere, and the half-width of the minmax radius is
+    lanes and 0 elsewhere, its power taken by ``np.float_power``, which
+    calls C pow as ``**`` does (``np.power`` can differ in the last bit),
+    and the half-width of the minmax radius is
     2**(n_ref - j - 1), or on a Local lane the bit-length width of its
     bracket.  Binary and interpolation come out bit for bit.  On every lane
     va < z <= vb, so x_f is finite.  A step of 0 leaves x_t = x_f: where
@@ -565,18 +578,19 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             x_f = (b * (va - z) - a * (vb - z)) / d
             x_f = np.minimum(np.maximum(x_f, a), b)
             # truncate, by a step of 0 on binary and interpolation lanes.  Each
-            # operation is the scalar rule's IEEE operation but the powers:
-            # np.power differs from C pow in the last bit for about 5% of
-            # deltas, so they are taken with C pow, as ``**`` takes them on
-            # floats (math.pow lane by lane here, ``**`` once per distinct
-            # anchor for the half-width).  sigma * (x_t - x_half) < 0 is the
-            # scalar test that x_t stopped short of x_half on sigma's side:
-            # the difference of two floats has the sign of their order.
+            # operation is the scalar rule's IEEE operation, the powers too:
+            # ``**`` on floats calls C pow, and so does np.float_power's
+            # float64 loop, while np.power dispatches to a SIMD pow that
+            # differs in the last bit for about 5% of deltas (the half-width
+            # takes ``**`` once per distinct anchor).  sigma * (x_t - x_half)
+            # < 0 is the scalar test that x_t stopped short of x_half on
+            # sigma's side: the difference of two floats has the sign of
+            # their order.
             gap = x_half - x_f
             sigma = np.sign(gap)
-            powers = map(math.pow, delta[t:].tolist(), kappa2s[c[t:]].tolist())
+            ct = c[t:]
             step = np.zeros(lane.size)
-            step[t:] = kappa1s[c[t:]] * np.fromiter(powers, np.float64, lane.size - t)
+            step[t:] = kappa1s[ct] * np.float_power(delta[t:], kappa2s[ct])
             x_t = x_f + sigma * step
             short = sigma * (x_t - x_half) < 0
             np.putmask(x_t, ~((step <= np.abs(gap)) & short), x_half)

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import itertools
 import math
+import pickle
 import warnings
 from unittest import mock
 
@@ -28,9 +29,11 @@ from itpsearch.keycodec import encode_base27
 from itpsearch.oracle import linear_scan
 from itpsearch.search import (
     DEFAULT_CAP,
+    DEFAULT_KAPPA2,
     Local,
     Relaxed,
     SearchConfig,
+    SearchOutcome,
     SortedList,
     Strategy,
     Strict,
@@ -286,6 +289,25 @@ def test_search_single_interior_probe():
         assert out.k_star == 1
         assert out.queries == 1
         assert out.trace == (1,)
+
+
+def test_search_outcome_is_a_frozen_value():
+    # SearchOutcome writes its instance dict itself; it must still behave as
+    # the frozen dataclass it is declared to be
+    out = SearchOutcome(3, 2, (5, 3))
+    assert out == SearchOutcome(k_star=3, queries=2, trace=(5, 3), capped=False)
+    assert out != SearchOutcome(3, 2, (5, 3), True)
+    assert hash(out) == hash(SearchOutcome(3, 2, (5, 3), False))
+    assert repr(out) == "SearchOutcome(k_star=3, queries=2, trace=(5, 3), capped=False)"
+    assert dataclasses.astuple(out) == (3, 2, (5, 3), False)
+    assert pickle.loads(pickle.dumps(out)) == out
+    assert dataclasses.replace(out, capped=True) == SearchOutcome(3, 2, (5, 3), True)
+    for name in ("k_star", "queries", "trace", "capped", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(out, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del out.k_star
+    assert out == SearchOutcome(3, 2, (5, 3))
 
 
 def test_search_strict_bound_n17():
@@ -876,6 +898,25 @@ def test_search_block_midpoint_ties():
         assert k_star[range(len(cases)), range(len(cases)), 0].tolist() == [n // 2] * len(cases)
         _assert_block_matches(block, zs, configs)
     assert blocks > 90
+
+
+def test_float_power_is_c_pow():
+    # search_block takes its truncation powers with np.float_power, whose
+    # float64 loop calls C pow as ``**`` on floats does; np.power may take a
+    # SIMD pow that differs in the last bit.  Should a numpy release vectorise
+    # float_power too, this test names the cause, where the midpoint-tie and
+    # golden-output tests would show only its effect.
+    rng = np.random.default_rng(19)
+    deltas = np.concatenate(
+        (np.arange(1.0, 2**17 + 1), np.floor(rng.random(10_000) * 2.0**52) + 1)
+    )
+    listed = deltas.tolist()
+    kappa2s = {*TABLE1_KAPPA2, DEFAULT_KAPPA2, math.nextafter(0.5, 1), math.nextafter(1.0, 0)}
+    for kappa2 in sorted(kappa2s):
+        got = np.float_power(deltas, np.full(deltas.size, kappa2))
+        want = np.fromiter(map(float.__pow__, listed, itertools.repeat(kappa2)), np.float64)
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, (kappa2, deltas[differ[:5]].tolist())
 
 
 def test_search_block_interleaved_groups():
