@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEARCH = "src/itpsearch/search.py"
 DISTRIBUTIONS = "src/itpsearch/distributions.py"
 BENCH = "src/itpsearch/bench.py"
+ORACLE = "src/itpsearch/oracle.py"
 TESTS = (
     "tests/test_search.py",
     "tests/test_bench.py",
@@ -71,6 +72,13 @@ MUTANTS = [
     Mutant("radius-no-clamp", SEARCH, "return r if r > 0 else 0.0", "return r"),
     Mutant("scalar-tie-rule", SEARCH, "elif x < x_half:", "elif x <= x_half:"),
     Mutant("scalar-cap-off-by-one", SEARCH, "if j >= cap:", "if j > cap:"),
+    # ``if not r:`` -> ``if False:`` is not here: with r = 0 the full step
+    # gives the same midpoint, so that mutant is equivalent by construction
+    Mutant(
+        "itp-zero-radius-midpoint-up", SEARCH,
+        "if not r:  # project puts any x_t on x_half, which rounds down\n            return (a + b) // 2",
+        "if not r:  # project puts any x_t on x_half, which rounds down\n            return (a + b + 1) // 2",
+    ),
     # search_block's lockstep loop
     Mutant(
         "block-power-numpy", SEARCH,
@@ -139,6 +147,17 @@ MUTANTS = [
         "block-finish-from-j", SEARCH,
         "configs[ci].cap, ai, bi, qi, vai, vbi, []",
         "configs[ci].cap, ai, bi, j, vai, vbi, []",
+    ),
+    # the oracles
+    Mutant(
+        "minimax-drop-last-split", ORACLE,
+        "_depths[1 : half + 1], _depths[d - 1 : d - half - 1 : -1]",
+        "_depths[1:half], _depths[d - 1 : d - half : -1]",
+    ),
+    Mutant(
+        "worst-depth-leaf-one", ORACLE,
+        "left = depth(a, k, j + 1) if k - a > 1 else 0",
+        "left = depth(a, k, j + 1) if k - a > 1 else 1",
     ),
     # distributions and the trial runner
     Mutant(

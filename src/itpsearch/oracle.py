@@ -1,7 +1,8 @@
 """Independent ground-truth engines for the search library.
 
 Everything here is finite enumeration: a full linear scan for the located
-cell, an exhaustive recursion over bracket splits for the minmax depth, an
+cell, an exhaustive recurrence over bracket splits for the minmax depth
+(each width's splits taken as one numpy array, every split still scored), an
 adversarial game tree over probe outcomes for a concrete probe rule, and an
 exact average over equality outcomes of binary search, which runs ``search``
 itself.  ``average_depth_c2`` stays independent of the search code: it is the
@@ -49,7 +50,10 @@ def linear_scan(lst: SortedList, z: float) -> int:
     return int(np.count_nonzero(v <= z)) - 1
 
 
-_depth_memo: list[int] = [0, 0]  # depth of a bracket of width d; width 1 is terminal
+# _depths[d] is the minimax depth of a bracket of width d, filled for the
+# widths below _depths_known; widths 0 and 1 are terminal
+_depths = np.zeros(MINIMAX_DEPTH_BUDGET + 1, dtype=np.int64)
+_depths_known = 2
 
 
 def minimax_depth(n: int) -> int:
@@ -57,20 +61,20 @@ def minimax_depth(n: int) -> int:
 
     Recurrence over the bracket width d: probing any interior split leaves
     widths s and d - s, the adversary keeps the deeper side, and the best
-    rule minimizes over splits.  Exact-hit outcomes terminate at the probe
-    and never bind the maximum.
+    rule minimizes over splits.  Each width takes max(D[s], D[d - s]) over
+    every split s = 1..d // 2 as one array and its minimum, the same
+    exhaustive enumeration as a loop over the splits.  Exact-hit outcomes
+    terminate at the probe and never bind the maximum.
     """
+    global _depths_known
     if not 1 <= n <= MINIMAX_DEPTH_BUDGET:
         raise ValueError(f"n must be in 1..{MINIMAX_DEPTH_BUDGET}, got {n}")
-    while len(_depth_memo) <= n:
-        d = len(_depth_memo)
-        best = d - 1  # probing adjacent to an end
-        for s in range(1, d // 2 + 1):
-            worst = max(_depth_memo[s], _depth_memo[d - s])
-            if worst < best:
-                best = worst
-        _depth_memo.append(1 + best)
-    return _depth_memo[n]
+    for d in range(_depths_known, n + 1):
+        half = d // 2  # splits s = 1..half, against d - s = d - 1..d - half
+        worst = np.maximum(_depths[1 : half + 1], _depths[d - 1 : d - half - 1 : -1])
+        _depths[d] = 1 + worst.min()
+    _depths_known = max(_depths_known, n + 1)
+    return int(_depths[n])
 
 
 def _synthetic_value(i: int, n: int) -> float:
@@ -90,21 +94,23 @@ def strategy_worst_depth(rule: ProbeRule, n: int) -> int:
     """
     if not 2 <= n <= WORST_DEPTH_BUDGET:
         raise ValueError(f"n must be in 2..{WORST_DEPTH_BUDGET}, got {n}")
+    ramp = [_synthetic_value(i, n) for i in range(n + 1)]
     memo: dict[tuple[int, int, int], int] = {}
 
     def depth(a: int, b: int, j: int) -> int:
-        if b - a == 1:
-            return 0
+        # b - a >= 2: a width-1 child is a leaf, scored 0 without a call
         key = (a, b, j)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        va = _synthetic_value(a, n)
-        vb = _synthetic_value(b, n)
+        va = ramp[a]
+        vb = ramp[b]
         k = rule(a, b, j, va, vb, (va + vb) / 2)
         if not a < k < b:
             raise ValueError(f"rule probed {k} outside bracket ({a}, {b})")
-        result = 1 + max(depth(a, k, j + 1), depth(k, b, j + 1))
+        left = depth(a, k, j + 1) if k - a > 1 else 0
+        right = depth(k, b, j + 1) if b - k > 1 else 0
+        result = 1 + max(left, right)
         memo[key] = result
         return result
 

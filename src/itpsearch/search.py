@@ -12,12 +12,16 @@ an exact hit collapses the bracket).  Three probe rules are provided:
   binary worst-case bound while probing (almost) like interpolation.
 
 Each rule is defined once, by ``make_probe_fn``; ``search`` and the oracles
-both drive it.  ``search_block`` searches lanes of (list, target, config) in
-lockstep with numpy, and ``search_many`` is its one-list, one-config case.
-Its loop evaluates one array formula, the itp step, on every lane: binary is
-the case of radius 0, and interpolation the case of no truncation and an
-unbounded radius.  The formula repeats the scalar arithmetic operation by
-operation, and differential tests hold it equal to each scalar rule.
+both drive it.  Where the minmax radius is 0, projection puts any point on
+the midpoint, so the itp rule returns the midpoint without interpolating.
+``search_block`` searches lanes of (list, target, config) in lockstep with
+numpy, and ``search_many`` is its one-list, one-config case.  Its loop
+evaluates one array formula, the itp step, on every lane: binary is the case
+of radius 0, and interpolation the case of no truncation and an unbounded
+radius.  The formula repeats the scalar arithmetic operation by operation,
+and evaluates the whole step on a lane of radius 0 too, which gives the
+midpoint the scalar rule returns; differential tests hold it equal to each
+scalar rule.
 Endpoint values are cached with the bracket, so a search is charged one
 query per interior probe only.
 """
@@ -352,12 +356,14 @@ def make_probe_fn(config: SearchConfig, n: int) -> ProbeRule:
     n_ref = config.variant.n_ref(n)
 
     def itp(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:
-        x_half = (a + b) / 2
         delta = b - a
+        r = minmax_radius(j, delta, n_ref)
+        if not r:  # project puts any x_t on x_half, which rounds down
+            return (a + b) // 2
+        x_half = (a + b) / 2
         x_f = interpolation_point(a, b, va, vb, z)
         x_t, sigma = truncate(x_f, x_half, delta, kappa1, kappa2)
-        x_itp = project(x_t, x_half, minmax_radius(j, delta, n_ref), sigma)
-        return round_toward_midpoint(x_itp, x_half, a, b)
+        return round_toward_midpoint(project(x_t, x_half, r, sigma), x_half, a, b)
 
     return itp
 
@@ -479,19 +485,20 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     va < z <= vb, so x_f is finite.  A step of 0 leaves x_t = x_f: where
     sigma is 0, x_t is x_half, which equals x_f.  An unbounded radius keeps
     x_t, and a radius of 0 gives x_half - sigma * 0 = x_half, which rounds to
-    (a + b) // 2.  The brackets are float64, which holds every index below
-    2**53 exactly.  A closed bracket is a fixed point of the step (its probe
-    clamps to a, which moves nothing, and an exact hit hits again), so closed
-    lanes stay in the arrays, their probe counts frozen, until ``COMPACT`` of
-    the lanes has closed.  The loop runs while more than ``SCALAR_FINISH``
-    lanes are open and stops at the smallest cap; a block whose keys can
-    overflow the interpolation line (n times its largest |row end| at least
-    2**1020) skips it.  The scalar loop finishes every lane that is left, from
-    that lane's own probe count, so ``search``'s loop is the only code that
-    spends a cap.  A cap below the search depth, shared or not, and a block
-    that skips the loop are searched more slowly for it, since their lanes
-    pass through the scalar loop one by one (``BENCH_18.json``
-    ``library_cases`` has the figures).
+    (a + b) // 2: the probe the scalar rule returns there at once, while this
+    loop evaluates the whole step on the lane.  The brackets are float64,
+    which holds every index below 2**53 exactly.  A closed bracket is a fixed
+    point of the step (its probe clamps to a, which moves nothing, and an
+    exact hit hits again), so closed lanes stay in the arrays, their probe
+    counts frozen, until ``COMPACT`` of the lanes has closed.  The loop runs
+    while more than ``SCALAR_FINISH`` lanes are open and stops at the smallest
+    cap; a block whose keys can overflow the interpolation line (n times its
+    largest |row end| at least 2**1020) skips it.  The scalar loop finishes
+    every lane that is left, from that lane's own probe count, so ``search``'s
+    loop is the only code that spends a cap.  A cap below the search depth,
+    shared or not, and a block that skips the loop are searched more slowly
+    for it, since their lanes pass through the scalar loop one by one
+    (``BENCH_18.json`` ``library_cases`` has the figures).
     """
     block = np.asarray(block, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)

@@ -529,18 +529,40 @@ def test_equality_target_collapses(case):
         assert out.queries <= minmax_bound(lst.n)
 
 
+_powers_of_two = st.integers(1, 12).map(lambda m: 2**m)
+
+
 @given(
     a=st.integers(0, 50),
-    width=st.integers(2, 100),
+    width=st.one_of(_powers_of_two, st.integers(2, 100)),
+    n=st.one_of(_powers_of_two, st.integers(2, 5000)),
+    j=st.integers(0, 14),
     z_frac=st.floats(0.01, 0.99),
+    power=st.floats(1.0, 3.0),
     config=_configs,
 )
-def test_probe_rule_interior(a, width, z_frac, config):
+# the radius is 0 in each: Strict's and Relaxed(0)'s budgets spent at an odd
+# width (x_half off the grid), Strict at n = 2**6 from the first step, and
+# Local at a power-of-two width
+@example(a=10, width=3, n=100, j=6, z_frac=0.9, power=2.0, config=SearchConfig.itp(Strict()))
+@example(a=0, width=64, n=64, j=0, z_frac=0.1, power=3.0, config=SearchConfig.itp(Strict()))
+@example(
+    a=7, width=5, n=1000, j=9, z_frac=0.2, power=2.0, config=SearchConfig.itp(Relaxed(0.0))
+)
+@example(a=3, width=16, n=300, j=0, z_frac=0.95, power=2.0, config=SearchConfig.itp(Local()))
+def test_probe_rule_interior(a, width, n, j, z_frac, power, config):
     b = a + width
-    va, vb = float(a), float(b)
+    va, vb = float(a) ** power, float(b) ** power
     z = va + z_frac * (vb - va)
-    k = make_probe_fn(config, width)(a, b, 0, va, vb, z)
+    k = make_probe_fn(config, n)(a, b, j, va, vb, z)
     assert a < k < b
+    if config.strategy is Strategy.ITP:
+        # the rule is its five steps composed, a radius of 0 included
+        x_half = (a + b) / 2
+        x_f = interpolation_point(a, b, va, vb, z)
+        x_t, sigma = truncate(x_f, x_half, width, config.kappa1, config.kappa2)
+        r = minmax_radius(j, width, config.variant.n_ref(n))
+        assert k == round_toward_midpoint(project(x_t, x_half, r, sigma), x_half, a, b)
 
 
 @st.composite
@@ -978,6 +1000,22 @@ def test_strict_is_binary_at_powers_of_two():
             assert np.array_equal(queries[0], queries[1])
             assert queries[1, 0].tolist() == [o.queries for o in outcomes]
             assert queries.max() <= m
+
+
+def test_zero_radius_step_skips_interpolation(monkeypatch):
+    # at n = 2**m Strict's radius is 0 at every step, so the rule returns the
+    # midpoint without interpolating or truncating
+    def unreachable(*args):
+        raise AssertionError("a step of radius 0 interpolated or truncated")
+
+    rng = np.random.default_rng(20)
+    lst = sample_list(Gaussian(), 2**10, rng)
+    zs = [sample_target(lst[0], lst[lst.n], rng) for _ in range(30)]
+    zs += lst.values[rng.integers(1, lst.n + 1, 10)].tolist()
+    binary = [search(lst, z, SearchConfig.binary()) for z in zs]
+    monkeypatch.setattr(search_module, "interpolation_point", unreachable)
+    monkeypatch.setattr(search_module, "truncate", unreachable)
+    assert [search(lst, z, SearchConfig.itp(Strict())) for z in zs] == binary
 
 
 def test_search_block_overflow_bound_edge():
