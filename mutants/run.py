@@ -35,6 +35,8 @@ SEARCH = "src/itpsearch/search.py"
 DISTRIBUTIONS = "src/itpsearch/distributions.py"
 BENCH = "src/itpsearch/bench.py"
 ORACLE = "src/itpsearch/oracle.py"
+KEYCODEC = "src/itpsearch/keycodec.py"
+DATASETS = "src/itpsearch/datasets.py"
 TESTS = (
     "tests/test_search.py",
     "tests/test_bench.py",
@@ -42,6 +44,7 @@ TESTS = (
     "tests/test_distributions.py",
     "tests/test_cli.py",
 )
+LOADING_TESTS = ("tests/test_keycodec.py", "tests/test_datasets.py")
 
 
 class Mutant(NamedTuple):
@@ -177,6 +180,14 @@ MUTANTS = [
         "ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index + 1,))",
     ),
     Mutant("cap-hits-dropped", BENCH, "cap_hits = capped.sum(axis=1).tolist()", "cap_hits = [0] * len(configs)"),
+    # the key codec and the loaders' dedupe
+    Mutant("codec-never-lowered", KEYCODEC, "text = text.lower()", "pass", LOADING_TESTS),
+    Mutant("codec-crlf-kept", KEYCODEC, 'if "\\r" in text:', "if False:", LOADING_TESTS),
+    Mutant(
+        "dedup-keep-all", DATASETS,
+        "np.not_equal(values[1:], values[:-1], out=keep[1:])", "keep[1:] = True", LOADING_TESTS,
+    ),
+    Mutant("dedup-first-key-dropped", DATASETS, "keep[:1] = True", "keep[:1] = False", LOADING_TESTS),
 ]  # fmt: skip
 
 

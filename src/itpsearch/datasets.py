@@ -37,7 +37,11 @@ class Dataset:
 def _finish(name: str, raw: np.ndarray) -> Dataset:
     if not np.isfinite(raw).all():
         raise ValueError(f"{name}: keys must be finite (no NaN or inf)")
-    values = np.unique(raw)  # sorts and drops duplicates
+    values = np.sort(raw)
+    keep = np.empty(values.size, dtype=bool)  # the first of each run of equal keys
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    values = values[keep]
     if values.size < 2:
         raise ValueError(f"{name}: need at least 2 distinct values, got {values.size}")
     return Dataset(list=SortedList(values), dedup_count=raw.size - values.size)

@@ -95,14 +95,11 @@ def strategy_worst_depth(rule: ProbeRule, n: int) -> int:
     if not 2 <= n <= WORST_DEPTH_BUDGET:
         raise ValueError(f"n must be in 2..{WORST_DEPTH_BUDGET}, got {n}")
     ramp = [_synthetic_value(i, n) for i in range(n + 1)]
-    memo: dict[tuple[int, int, int], int] = {}
 
     def depth(a: int, b: int, j: int) -> int:
-        # b - a >= 2: a width-1 child is a leaf, scored 0 without a call
-        key = (a, b, j)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+        # b - a >= 2: a width-1 child is a leaf, scored 0 without a call.
+        # Brackets nest, so each one is reached by one path only and the
+        # rule runs n - 1 times in all: nothing to memoize.
         va = ramp[a]
         vb = ramp[b]
         k = rule(a, b, j, va, vb, (va + vb) / 2)
@@ -110,9 +107,7 @@ def strategy_worst_depth(rule: ProbeRule, n: int) -> int:
             raise ValueError(f"rule probed {k} outside bracket ({a}, {b})")
         left = depth(a, k, j + 1) if k - a > 1 else 0
         right = depth(k, b, j + 1) if b - k > 1 else 0
-        result = 1 + max(left, right)
-        memo[key] = result
-        return result
+        return 1 + max(left, right)
 
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, n + 1000))

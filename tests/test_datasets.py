@@ -1,6 +1,9 @@
 """File ingestion and self-generated lists."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +39,49 @@ def test_load_numeric_dedup(tmp_path):
     ds = load_numeric(path)
     assert ds.list.values.tolist() == [0.0, 2.0**53]
     assert ds.dedup_count == 1
+
+
+def test_dedup_equals_np_unique(tmp_path):
+    # the loader sorts and drops adjacent duplicates; np.unique is the oracle
+    path = tmp_path / "dups.txt"
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        scaled = rng.normal(size=rng.integers(1, 40)) * 10.0 ** rng.integers(-300, 300)
+        pool = np.concatenate((scaled, np.arange(-3.0, 4.0)))  # small integers and 0.0
+        raw = rng.choice(pool, size=rng.integers(2, 400))  # many duplicates
+        want = np.unique(raw)
+        if want.size < 2:
+            continue
+        path.write_text("".join(f"{x!r}\n" for x in raw.tolist()))
+        ds = load_numeric(path)
+        assert np.array_equal(ds.list.values.view(np.int64), want.view(np.int64))
+        assert ds.dedup_count == raw.size - want.size
+
+
+def test_signed_zeros_merge(tmp_path):
+    path = tmp_path / "zeros.txt"
+    path.write_text("0\n-0\n1\n0.0\n")
+    ds = load_numeric(path)
+    # either sign of zero may stay, as with np.unique: the first it meets
+    assert ds.list.values.tolist() == [0.0, 1.0]
+    assert ds.dedup_count == 2
+
+
+def test_loading_keeps_numpy_ma_unimported(tmp_path):
+    # numpy 2.4's np.unique imports numpy.ma at its first call, a cost that
+    # every fresh interpreter pays; the loaders dedupe without it
+    (tmp_path / "keys.txt").write_text("Smith\njones\r\nsmith\n")
+    (tmp_path / "nums.txt").write_text("3\n1\n1\n2.5\n")
+    code = (
+        "import sys, itpsearch\n"
+        "itpsearch.datasets.load_text('keys.txt')\n"
+        "itpsearch.datasets.load_numeric('nums.txt')\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_load_numeric_blank_lines_and_floats(tmp_path):

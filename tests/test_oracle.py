@@ -79,6 +79,23 @@ def test_strategy_worst_depth_examples():
     assert strategy_worst_depth(sequential_rule, 17) == 16
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 100, 256])
+def test_strategy_worst_depth_calls_rule_once_per_bracket(n):
+    # a probe tree over n + 1 keys has n width-1 leaves and n - 1 brackets
+    # that probe, each reached by one path: the enumeration needs no memo
+    binary, itp = (make_probe_fn(config, n) for config in (SearchConfig.binary(), SearchConfig.itp(Strict())))
+    for rule in (binary, itp, sequential_rule):
+        seen = []
+
+        def counted(a, b, j, va, vb, z, rule=rule):
+            seen.append((a, b, j))
+            return rule(a, b, j, va, vb, z)
+
+        strategy_worst_depth(counted, n)
+        assert len(seen) == n - 1
+        assert len(set(seen)) == n - 1
+
+
 def test_strategy_worst_depth_budget():
     with pytest.raises(ValueError):
         strategy_worst_depth(sequential_rule, 1025)
