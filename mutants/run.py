@@ -85,25 +85,39 @@ MUTANTS = [
     # search_block's lockstep loop
     Mutant(
         "block-power-numpy", SEARCH,
-        "np.float_power(delta[t:], kappa2s[ct])",
-        "np.power(delta[t:], kappa2s[ct])",
+        "np.float_power(delta, kappa2s[c])",
+        "np.power(delta, kappa2s[c])",
     ),
     Mutant(
         "block-binary-anchor-strict", SEARCH,
-        "-math.inf if config.strategy is Strategy.BINARY",
-        "float(minmax_bound(n)) if config.strategy is Strategy.BINARY",
+        "(0.0, 0.0, -math.inf) if config.strategy is Strategy.BINARY",
+        "(0.0, 0.0, float(minmax_bound(n))) if config.strategy is Strategy.BINARY",
     ),
     Mutant(
         "block-binary-anchor-inf", SEARCH,
-        "-math.inf if config.strategy is Strategy.BINARY",
-        "math.inf if config.strategy is Strategy.BINARY",
+        "(0.0, 0.0, -math.inf) if config.strategy is Strategy.BINARY",
+        "(0.0, 0.0, math.inf) if config.strategy is Strategy.BINARY",
     ),
     Mutant(
         "block-interpolation-anchor-finite", SEARCH,
-        "else math.inf if config.strategy is Strategy.INTERPOLATION",
-        "else float(minmax_bound(n)) if config.strategy is Strategy.INTERPOLATION",
+        "else (0.0, 0.0, math.inf) if config.strategy is Strategy.INTERPOLATION",
+        "else (0.0, 0.0, float(minmax_bound(n))) if config.strategy is Strategy.INTERPOLATION",
     ),
-    Mutant("block-first-config-anchor", SEARCH, "for n_ref in levels])[level[c]]", "for n_ref in levels])[level[c * 0]]"),
+    Mutant(
+        "block-interpolation-truncates", SEARCH,
+        "else (0.0, 0.0, math.inf) if config.strategy is Strategy.INTERPOLATION",
+        "else (config.kappa1, config.kappa2, math.inf) if config.strategy is Strategy.INTERPOLATION",
+    ),
+    Mutant(
+        "block-width-numpy-power", SEARCH,
+        "np.float_power(2.0, anchors - j - 1)",
+        "np.power(2.0, anchors - j - 1)",
+    ),
+    Mutant(
+        "block-first-config-anchor", SEARCH,
+        "np.float_power(2.0, anchors - j - 1)[c]",
+        "np.float_power(2.0, anchors - j - 1)[c * 0]",
+    ),
     Mutant("block-no-local-width", SEARCH, "if local:", "if False:"),
     Mutant(
         "block-overflow-bound-1030", SEARCH,
@@ -121,8 +135,8 @@ MUTANTS = [
     Mutant("block-tie-rule", SEARCH, "(f != x_t) & (x_t < x_half)", "(f != x_t) & (x_t <= x_half)"),
     Mutant(
         "block-no-step", SEARCH,
-        "step[t:] = kappa1s[ct] * np.float_power(delta[t:], kappa2s[ct])",
-        "step[t:] = 0.0",
+        "step = kappa1s[c] * np.float_power(delta, kappa2s[c])",
+        "step = np.zeros_like(delta)",
     ),
     Mutant("block-no-exact-hit", SEARCH, "np.putmask(b, hit, k + 1)", "None"),
     Mutant("block-no-probe-count", SEARCH, "q += live", "q += 0"),
@@ -131,15 +145,14 @@ MUTANTS = [
         "while live_count > SCALAR_FINISH and j < first_cap:",
         "while live_count > SCALAR_FINISH and j <= first_cap:",
     ),
-    Mutant("block-first-itp-lane-fixed", SEARCH, "t -= np.count_nonzero(stop[:t])", "t -= 0"),
     Mutant(
         "block-step-overflow-warns", SEARCH,
         'np.errstate(over="ignore", invalid="ignore")', 'np.errstate(invalid="ignore")',
     ),
     Mutant(
         "block-row-zero-keys", SEARCH,
-        "base = np.concatenate((searched // zs.shape[1] * size,) * len(order))",
-        "base = np.concatenate((searched * 0,) * len(order))",
+        "base = np.concatenate((searched // zs.shape[1] * size,) * len(configs))",
+        "base = np.concatenate((searched * 0,) * len(configs))",
     ),
     Mutant(
         "block-finish-from-zero", SEARCH,

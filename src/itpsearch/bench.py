@@ -8,7 +8,6 @@ so results do not depend on strategy order or execution interleaving.
 from __future__ import annotations
 
 import csv
-import statistics
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
@@ -128,29 +127,16 @@ def run_trials(
             )
             queries[:, first : chunk.stop] = chunk_queries[:, :, 0]
             capped[:, first : chunk.stop] = chunk_capped[:, :, 0]
-    counts = queries.tolist()
+    # exact on integer counts below 2**53; tolist gives Python ints and floats
+    means = (queries.sum(axis=1) / trials).tolist()
+    medians = np.median(queries, axis=1).tolist()
+    maxima = queries.max(axis=1).tolist()
     cap_hits = capped.sum(axis=1).tolist()
-
-    rows = []
-    for i, config in enumerate(configs):
-        batch = counts[i]
-        strategy, variant, kappa1, kappa2 = _labels(config)
-        rows.append(
-            TrialStats(
-                strategy=strategy,
-                n=n,
-                trials=trials,
-                mean=sum(batch) / trials,
-                median=float(statistics.median(batch)),
-                max=max(batch),
-                cap_hits=cap_hits[i],
-                seed=master_seed,
-                variant=variant,
-                kappa1=kappa1,
-                kappa2=kappa2,
-            )
-        )
-    return rows
+    rows = zip(map(_labels, configs), means, medians, maxima, cap_hits)
+    return [
+        TrialStats(strategy, n, trials, mean, median, top, hits, master_seed, variant, kappa1, kappa2)
+        for (strategy, variant, kappa1, kappa2), mean, median, top, hits in rows
+    ]
 
 
 def sweep_kappa(

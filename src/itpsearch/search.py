@@ -16,12 +16,13 @@ both drive it.  Where the minmax radius is 0, projection puts any point on
 the midpoint, so the itp rule returns the midpoint without interpolating.
 ``search_block`` searches lanes of (list, target, config) in lockstep with
 numpy, and ``search_many`` is its one-list, one-config case.  Its loop
-evaluates one array formula, the itp step, on every lane: binary is the case
-of radius 0, and interpolation the case of no truncation and an unbounded
-radius.  The formula repeats the scalar arithmetic operation by operation,
-and evaluates the whole step on a lane of radius 0 too, which gives the
-midpoint the scalar rule returns; differential tests hold it equal to each
-scalar rule.
+evaluates one array formula, the itp step, on every lane, from one row
+(kappa1, kappa2, radius anchor) per config: binary is the row (0, 0, -inf),
+radius 0, and interpolation the row (0, 0, +inf), no truncation and an
+unbounded radius.  The formula repeats the scalar arithmetic operation by
+operation, and evaluates the whole step on a lane of radius 0 too, which
+gives the midpoint the scalar rule returns; differential tests hold it equal
+to each scalar rule.
 Endpoint values are cached with the bracket, so a search is charged one
 query per interior probe only.
 """
@@ -471,22 +472,22 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     must hold what a ``SortedList`` holds, finite non-decreasing keys, and a
     row with a NaN or out of order is searched without a word.
 
-    Each lane reads its parameters from per-config arrays: the kappas, the
-    cap and the radius anchor n_ref, which is -inf for binary (radius 0),
-    +inf for interpolation (radius unbounded), ``variant.n_ref(n)`` for Strict
-    and Relaxed, and NaN for Local.  Every open bracket advances one probe per
-    iteration of one numpy loop.  Each iteration evaluates the itp step once
-    over all lanes: the truncation step is kappa1 * delta**kappa2 on ITP
-    lanes and 0 elsewhere, its power taken by ``np.float_power``, which
-    calls C pow as ``**`` does (``np.power`` can differ in the last bit),
-    and the half-width of the minmax radius is
-    2**(n_ref - j - 1), or on a Local lane the bit-length width of its
-    bracket.  Binary and interpolation come out bit for bit.  On every lane
-    va < z <= vb, so x_f is finite.  A step of 0 leaves x_t = x_f: where
-    sigma is 0, x_t is x_half, which equals x_f.  An unbounded radius keeps
-    x_t, and a radius of 0 gives x_half - sigma * 0 = x_half, which rounds to
-    (a + b) // 2: the probe the scalar rule returns there at once, while this
-    loop evaluates the whole step on the lane.  The brackets are float64,
+    Each config gives its lanes one row (kappa1, kappa2, n_ref): an ITP
+    config its kappas and radius anchor ``variant.n_ref(n)`` (NaN for
+    Local), binary (0, 0, -inf) and interpolation (0, 0, +inf).  Every open
+    bracket advances one probe per iteration of one numpy loop.  Each
+    iteration evaluates the itp step once over all lanes: the truncation step
+    is kappa1 * delta**kappa2, which is 0 * 1 = 0 where kappa2 is 0, and the
+    half-width of the minmax radius is 2**(n_ref - j - 1), 0 for binary and
+    unbounded for interpolation, or on a Local lane the bit-length width of
+    its bracket.  Both powers are taken by ``np.float_power``, which calls C
+    pow as ``**`` does (``np.power`` can differ in the last bit), so binary
+    and interpolation come out bit for bit.  On every lane va < z <= vb, so
+    x_f is finite.  A step of 0 leaves x_t = x_f: where sigma is 0, x_t is
+    x_half, which equals x_f.  An unbounded radius keeps x_t, and a radius of
+    0 gives x_half - sigma * 0 = x_half, which rounds to (a + b) // 2: the
+    probe the scalar rule returns there at once, while this loop evaluates
+    the whole step on the lane.  The brackets are float64,
     which holds every index below 2**53 exactly.  A closed bracket is a fixed
     point of the step (its probe clamps to a, which moves nothing, and an
     exact hit hits again), so closed lanes stay in the arrays, their probe
@@ -526,19 +527,16 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     searched = np.flatnonzero(zs != v0)  # z == values[0] costs no query
     # Lane i searches z[i] with configs[c[i]] on the keys flat[base[i] :
     # base[i] + n + 1] and writes its outcome at index lane[i] of the flattened
-    # outputs, which is its (config, row, target).  The lanes run config by
-    # config with the ITP configs last, and compaction keeps their order, so
-    # the lanes from index t on are the ITP lanes, the only ones that truncate.
-    # The brackets a and b are float64.  A closed lane stays in the arrays
-    # until the next compaction or the scalar finish: q counts each lane's
-    # probes, and live marks the lanes still open.
-    order = sorted(range(len(configs)), key=lambda i: configs[i].strategy is Strategy.ITP)
+    # outputs, which is its (config, row, target).  The brackets a and b are
+    # float64.  A closed lane stays in the arrays until the next compaction or
+    # the scalar finish: q counts each lane's probes, and live marks the lanes
+    # still open.
     flat = np.ascontiguousarray(block).reshape(-1)
     k_out, q_out, capped_out = k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1)
-    c = np.repeat(order, searched.size)
-    lane = c * zs.size + np.concatenate((searched,) * len(order))
-    base = np.concatenate((searched // zs.shape[1] * size,) * len(order))
-    z = np.concatenate((zs.reshape(-1)[searched],) * len(order))
+    c = np.repeat(np.arange(len(configs)), searched.size)
+    lane = c * zs.size + np.concatenate((searched,) * len(configs))
+    base = np.concatenate((searched // zs.shape[1] * size,) * len(configs))
+    z = np.concatenate((zs.reshape(-1)[searched],) * len(configs))
     a = np.zeros(lane.size)
     b = np.full(lane.size, float(n))
     va, vb = flat[base], flat[base + n]
@@ -555,22 +553,15 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     live_count = 0 if wide else lane.size
     j = 0
     if live_count > SCALAR_FINISH:
-        kappa1s = np.array([config.kappa1 for config in configs])
-        kappa2s = np.array([config.kappa2 for config in configs])
-        first_cap = min(config.cap for config in configs)
-        t = sum(config.strategy is not Strategy.ITP for config in configs) * searched.size
-        # each config's radius anchor n_ref (Local's None becomes NaN); the
-        # half-widths are taken once per distinct anchor, levels[level[ci]]
-        # being config ci's
-        anchors = [
-            -math.inf if config.strategy is Strategy.BINARY
-            else math.inf if config.strategy is Strategy.INTERPOLATION
-            else config.variant.n_ref(n)
+        # each config's row (kappa1, kappa2, n_ref); Local's None becomes NaN
+        kappa1s, kappa2s, anchors = np.array([
+            (0.0, 0.0, -math.inf) if config.strategy is Strategy.BINARY
+            else (0.0, 0.0, math.inf) if config.strategy is Strategy.INTERPOLATION
+            else (config.kappa1, config.kappa2, config.variant.n_ref(n))
             for config in configs
-        ]  # fmt: skip
-        levels, level = np.unique(np.array(anchors, dtype=np.float64), return_inverse=True)
-        levels = levels.tolist()
-        local = None in anchors
+        ], dtype=np.float64).T  # fmt: skip
+        local = np.isnan(anchors).any()
+        first_cap = min(config.cap for config in configs)
         live = np.ones(lane.size, dtype=bool)
         delta = b - a
     # a huge kappa1 overflows the step to inf, as it does in truncate, and an
@@ -584,25 +575,22 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             d = va - vb
             x_f = (b * (va - z) - a * (vb - z)) / d
             x_f = np.minimum(np.maximum(x_f, a), b)
-            # truncate, by a step of 0 on binary and interpolation lanes.  Each
-            # operation is the scalar rule's IEEE operation, the powers too:
-            # ``**`` on floats calls C pow, and so does np.float_power's
-            # float64 loop, while np.power dispatches to a SIMD pow that
-            # differs in the last bit for about 5% of deltas (the half-width
-            # takes ``**`` once per distinct anchor).  sigma * (x_t - x_half)
-            # < 0 is the scalar test that x_t stopped short of x_half on
-            # sigma's side: the difference of two floats has the sign of
-            # their order.
+            # truncate: with kappa2 = 0, C pow gives delta ** 0 = 1, so binary
+            # and interpolation lanes step 0.0 * 1.0 = 0.  Each operation is the
+            # scalar rule's IEEE operation, the powers too: ``**`` on floats
+            # calls C pow, and so does np.float_power's float64 loop, while
+            # np.power dispatches to a SIMD pow that differs in the last bit for
+            # about 5% of deltas.  sigma * (x_t - x_half) < 0 is the scalar test
+            # that x_t stopped short of x_half on sigma's side: the difference
+            # of two floats has the sign of their order.
             gap = x_half - x_f
             sigma = np.sign(gap)
-            ct = c[t:]
-            step = np.zeros(lane.size)
-            step[t:] = kappa1s[ct] * np.float_power(delta[t:], kappa2s[ct])
+            step = kappa1s[c] * np.float_power(delta, kappa2s[c])
             x_t = x_f + sigma * step
             short = sigma * (x_t - x_half) < 0
             np.putmask(x_t, ~((step <= np.abs(gap)) & short), x_half)
             # minmax_radius, from each lane's half-width 2 ** (n_ref - j - 1)
-            width = np.array([2.0 ** (n_ref - j - 1) for n_ref in levels])[level[c]]
+            width = np.float_power(2.0, anchors - j - 1)[c]
             if local:  # Local: 2 ** (bit_length(delta - 1) - 1), on NaN widths
                 unset = np.isnan(width)
                 width[unset] = np.ldexp(1.0, np.frexp(delta[unset] - 1)[1] - 1)
@@ -637,7 +625,6 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
                 done = lane[stop]
                 k_out[done] = a[stop]
                 q_out[done] = q[stop]
-                t -= np.count_nonzero(stop[:t])  # the first ITP lane moves back
                 lane, c, base, z, q = lane[live], c[live], base[live], z[live], q[live]
                 a, b, va, vb, delta = a[live], b[live], va[live], vb[live], delta[live]
                 live = live[live]

@@ -85,6 +85,20 @@ def test_run_trials_reproducible():
     assert a == b
 
 
+def test_trial_stats_fields_are_python_numbers():
+    # the aggregates are taken in numpy; a numpy scalar left in a row would
+    # compare equal but repr differently (np.float64(2.5) under numpy 2)
+    configs = [SearchConfig.binary(), SearchConfig.interpolation(cap=2), SearchConfig.itp(Local())]
+    rows = run_trials(Uniform(), configs, 8, 3, n=50) + run_trials(generate("primes", 80), configs, 7, 3)
+    for row in rows:
+        for name in ("n", "trials", "max", "cap_hits", "seed"):
+            assert type(getattr(row, name)) is int, (name, row)
+        for name in ("mean", "median"):
+            assert type(getattr(row, name)) is float, (name, row)
+        for name in ("kappa1", "kappa2"):
+            assert getattr(row, name) is None or type(getattr(row, name)) is float, (name, row)
+
+
 def test_dataset_source_fixes_list_and_draws_z():
     ds = generate("primes", 500)
     rows = run_trials(ds, [SearchConfig.binary(), SearchConfig.itp()], 60, 2)

@@ -841,8 +841,9 @@ def test_search_block_matches_search_adversarial(case, configs):
 
 def test_search_block_mixed_lanes():
     # rows of one n drawn from different shapes; the lanes of each rule have
-    # different kappas and caps, Relaxed(extra=0.0) shares Strict's anchor, and
-    # the last config repeats the first ITP one.  The loop stops at the
+    # different kappas and caps, Relaxed(extra=0.0) shares Strict's anchor,
+    # Relaxed(extra=961.0) has the largest anchor a config can hold, and the
+    # last config repeats the first ITP one.  The loop stops at the
     # smallest cap, so the configs run once more, all uncapped, in lockstep
     n = 3000
     specs = (Uniform(), Gaussian(), Exponential(rate=math.log(n)), Step())
@@ -861,7 +862,11 @@ def test_search_block_mixed_lanes():
         for variant in (Strict(), Relaxed(), Relaxed(extra=0.5), Local())
         for k1, k2, cap in zip(TABLE1_KAPPA1, TABLE1_KAPPA2, caps + caps)
     ]
-    configs += [SearchConfig.itp(Relaxed(extra=0.0)), configs[len(caps) * 2]]
+    configs += [
+        SearchConfig.itp(Relaxed(extra=0.0)),
+        SearchConfig.itp(Relaxed(extra=961.0)),
+        configs[len(caps) * 2],
+    ]
     _assert_block_matches(block, zs, configs)
     _assert_block_matches(block, zs, [dataclasses.replace(c, cap=DEFAULT_CAP) for c in configs])
 
@@ -922,12 +927,37 @@ def test_search_block_midpoint_ties():
     assert blocks > 90
 
 
+def test_search_block_half_width_last_bit():
+    # Relaxed anchors 10 + extra at n = 1000 whose first half-width
+    # 2 ** (9 + extra) lies within two ulps of an integer m in (512, 990).
+    # The keys put x_f near n, which the radius m - 500 projects to
+    # x_half + r = 2 ** (9 + extra): the probe is m where the power reaches
+    # m and m - 1 where it falls short, and z sits between keys m - 1 and m,
+    # so cap=1 reports k* = 0 or m - 1 on the power's last bit (np.power
+    # falls short of C pow on some of these exponents)
+    n = 1000
+    i = np.arange(n + 1)
+    values = np.where(i == 0, 0.0, 1.0 - (n - i) * 1e-6)
+    configs, zs = [], []
+    for m in range(513, 990):
+        zs.append((values[m - 1] + values[m]) / 2)
+        x = math.log2(m)
+        for _ in range(8):
+            x = math.nextafter(x, 0)
+        for _ in range(17):
+            if abs(2.0**x - m) <= 2 * math.ulp(m):
+                configs.append(SearchConfig.itp(Relaxed(extra=x - 9), cap=1))
+            x = math.nextafter(x, math.inf)
+    assert len(configs) > 100
+    _assert_block_matches(values[np.newaxis], np.array([zs]), configs)
+
+
 def test_float_power_is_c_pow():
-    # search_block takes its truncation powers with np.float_power, whose
-    # float64 loop calls C pow as ``**`` on floats does; np.power may take a
-    # SIMD pow that differs in the last bit.  Should a numpy release vectorise
-    # float_power too, this test names the cause, where the midpoint-tie and
-    # golden-output tests would show only its effect.
+    # search_block takes its truncation powers and its half-widths with
+    # np.float_power, whose float64 loop calls C pow as ``**`` on floats does;
+    # np.power may take a SIMD pow that differs in the last bit.  Should a
+    # numpy release vectorise float_power too, this test names the cause,
+    # where the midpoint-tie and golden-output tests would show only its effect.
     rng = np.random.default_rng(19)
     deltas = np.concatenate(
         (np.arange(1.0, 2**17 + 1), np.floor(rng.random(10_000) * 2.0**52) + 1)
@@ -939,11 +969,23 @@ def test_float_power_is_c_pow():
         want = np.fromiter(map(float.__pow__, listed, itertools.repeat(kappa2)), np.float64)
         differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
         assert differ.size == 0, (kappa2, deltas[differ[:5]].tolist())
+    # the half-widths 2 ** (n_ref - j - 1) of Relaxed anchors (Strict's are
+    # Relaxed(0.0)'s), for ceil(log2 n) in 1..63 and j up to past the budget,
+    # with binary's -inf, interpolation's +inf and Local's NaN
+    exponents = [-math.inf, math.inf, math.nan]
+    for extra in (0.0, 0.25, 0.5, 0.99, 1.37, 961.0):
+        for bound in range(1, 64):
+            n_ref = bound + extra
+            exponents += [n_ref - j - 1 for j in range(math.ceil(n_ref) + 2)]
+    got = np.float_power(2.0, np.array(exponents))
+    want = np.array([2.0**x for x in exponents])
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert differ.size == 0, [exponents[i] for i in differ[:5]]
 
 
 def test_search_block_interleaved_groups():
-    # the lanes run with the ITP configs last, not in config order: outputs
-    # must come back in config order, whatever order the configs are listed in
+    # the lanes run in config order, and no lane's outcome may depend on that
+    # order: listed in any order, the configs give the same outputs, permuted
     n = 3000
     specs = (Uniform(), Gaussian(), Step())
     block = np.array([sample_list(spec, n, 50 + i).values for i, spec in enumerate(specs)])
