@@ -170,11 +170,7 @@ MUTANTS = [
         "_depths[1 : half + 1], _depths[d - 1 : d - half - 1 : -1]",
         "_depths[1:half], _depths[d - 1 : d - half : -1]",
     ),
-    Mutant(
-        "worst-depth-leaf-one", ORACLE,
-        "left = depth(a, k, j + 1) if k - a > 1 else 0",
-        "left = depth(a, k, j + 1) if k - a > 1 else 1",
-    ),
+    Mutant("worst-depth-leaf-one", ORACLE, "    return j\n", "    return j + 1\n"),
     # distributions and the trial runner
     Mutant(
         "sample-target-closed-lo", DISTRIBUTIONS,

@@ -129,8 +129,9 @@ def run_trials(
             capped[:, first : chunk.stop] = chunk_capped[:, :, 0]
     # exact on integer counts below 2**53; tolist gives Python ints and floats
     means = (queries.sum(axis=1) / trials).tolist()
-    medians = np.median(queries, axis=1).tolist()
-    maxima = queries.max(axis=1).tolist()
+    ranked = np.sort(queries, axis=1)
+    medians = ((ranked[:, (trials - 1) // 2] + ranked[:, trials // 2]) / 2).tolist()
+    maxima = ranked[:, -1].tolist()
     cap_hits = capped.sum(axis=1).tolist()
     rows = zip(map(_labels, configs), means, medians, maxima, cap_hits)
     return [

@@ -12,7 +12,6 @@ design and refuse inputs beyond their enumeration budgets.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,12 +76,6 @@ def minimax_depth(n: int) -> int:
     return int(_depths[n])
 
 
-def _synthetic_value(i: int, n: int) -> float:
-    # Convex ramp: keeps interpolation probes away from the midpoint so the
-    # truncation/projection path of a rule is actually exercised.
-    return (i / n) ** 2
-
-
 def strategy_worst_depth(rule: ProbeRule, n: int) -> int:
     """Worst-case probe count of a concrete rule over all comparison outcomes.
 
@@ -94,27 +87,30 @@ def strategy_worst_depth(rule: ProbeRule, n: int) -> int:
     """
     if not 2 <= n <= WORST_DEPTH_BUDGET:
         raise ValueError(f"n must be in 2..{WORST_DEPTH_BUDGET}, got {n}")
-    ramp = [_synthetic_value(i, n) for i in range(n + 1)]
-
-    def depth(a: int, b: int, j: int) -> int:
-        # b - a >= 2: a width-1 child is a leaf, scored 0 without a call.
-        # Brackets nest, so each one is reached by one path only and the
-        # rule runs n - 1 times in all: nothing to memoize.
-        va = ramp[a]
-        vb = ramp[b]
-        k = rule(a, b, j, va, vb, (va + vb) / 2)
-        if not a < k < b:
-            raise ValueError(f"rule probed {k} outside bracket ({a}, {b})")
-        left = depth(a, k, j + 1) if k - a > 1 else 0
-        right = depth(k, b, j + 1) if b - k > 1 else 0
-        return 1 + max(left, right)
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, n + 1000))
-    try:
-        return depth(0, n, 0)
-    finally:
-        sys.setrecursionlimit(limit)
+    # Convex ramp: keeps interpolation probes away from the midpoint so the
+    # truncation/projection path of a rule is actually exercised.
+    ramp = [(i / n) ** 2 for i in range(n + 1)]
+    # The open brackets of iteration j, each of width >= 2: a width-1 child
+    # is a leaf and takes no probe.  Brackets nest, so each one is reached by
+    # one path only and the rule runs n - 1 times in all: nothing to memoize.
+    # The worst path probes once per iteration until no bracket is left.
+    brackets = [(0, n)]
+    j = 0
+    while brackets:
+        children = []
+        for a, b in brackets:
+            va = ramp[a]
+            vb = ramp[b]
+            k = rule(a, b, j, va, vb, (va + vb) / 2)
+            if not a < k < b:
+                raise ValueError(f"rule probed {k} outside bracket ({a}, {b})")
+            if k - a > 1:
+                children.append((a, k))
+            if b - k > 1:
+                children.append((k, b))
+        brackets = children
+        j += 1
+    return j
 
 
 def sequential_rule(a: int, b: int, j: int, va: float, vb: float, z: float) -> int:

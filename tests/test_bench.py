@@ -142,6 +142,8 @@ def test_run_trials_validation():
         run_trials(Uniform(), [], 5, 0, n=4)
     with pytest.raises(ValueError, match="n is required"):
         run_trials(Uniform(), [SearchConfig.binary()], 5, 0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        run_trials(Uniform(), [SearchConfig.binary()], 5, 0, n=0)
     # a fixed source has its own n; a different one is a caller's mistake
     with pytest.raises(ValueError, match="n=7 contradicts"):
         run_trials(generate("primes", 100), [SearchConfig.binary()], 5, 0, n=7)

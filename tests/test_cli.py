@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import pytest
 from itpsearch import bench, cli, oracle
 from itpsearch.cli import _build_parser, main
 from itpsearch.datasets import generate, load_numeric
-from itpsearch.search import SearchConfig, Relaxed
+from itpsearch.distributions import Uniform
+from itpsearch.search import Local, Relaxed, SearchConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -129,6 +131,43 @@ def test_oracle_check_fails_through_oracle(monkeypatch, capsys):
     )
 
 
+def test_minmax_check_reports_excess_queries(monkeypatch):
+    real = cli.search
+
+    def one_more(lst, z, config):
+        out = real(lst, z, config)
+        return dataclasses.replace(out, queries=out.queries + 1)
+
+    monkeypatch.setattr(cli, "search", one_more)
+    assert cli.check_minmax_exhaustive(8) == "n=2 z=0.125: 2 queries > 1"
+
+
+def test_worst_depth_check_reports_deep_rule(monkeypatch):
+    monkeypatch.setattr(cli, "make_probe_fn", lambda config, n: oracle.sequential_rule)
+    assert cli.check_worst_depth(8) == "ITP-Strict worst depth 3 > 2 at n=4"
+
+
+def test_worst_depth_check_reports_blind_adversary(monkeypatch):
+    # the converse: a midpoint rule passed off as the sequential one is not
+    # forced to n - 1 probes
+    monkeypatch.setattr(oracle, "sequential_rule", lambda a, b, j, va, vb, z: (a + b) // 2)
+    assert cli.check_worst_depth(8) == (
+        "adversary failed to force n-1 probes from the sequential rule"
+    )
+
+
+def test_binary_band_check_reports_closed_form(monkeypatch):
+    real = oracle.average_depth_c2
+    monkeypatch.setattr(oracle, "average_depth_c2", lambda n: real(n) + 3)
+    assert cli.check_binary_depth_band(8) == "n=2: equality avg 1.0000, closed form 4.0000"
+
+
+def test_codec_check_reports_broken_order(monkeypatch):
+    real = cli.encode_lines
+    monkeypatch.setattr(cli, "encode_lines", lambda text: -real(text))
+    assert cli.check_codec(50, 0) == "order broken for 'u;qm*3ed rDh' vs \"2x4*'l!cD\""
+
+
 def test_sweep_kappa_csv(tmp_path):
     out = tmp_path / "grid.csv"
     argv = [
@@ -161,6 +200,19 @@ def test_sweep_n_csv(tmp_path):
     assert len(rows) == 9
     assert {row["strategy"] for row in rows} == {"binary", "interpolation", "itp"}
     assert {row["n"] for row in rows} == {"1", "16", "64"}
+
+
+def test_sweep_n_local_matches_direct_run(tmp_path):
+    out = tmp_path / "local.csv"
+    assert main([
+        "sweep-n", "--n", "16,300", "--variant", "local", "--trials", "25", "--seed", "3",
+        "--output", str(out),
+    ]) == 0
+    direct = io.StringIO()
+    configs = [SearchConfig.binary(), SearchConfig.interpolation(), SearchConfig.itp(Local())]
+    bench.write_csv(bench.sweep_n([16, 300], Uniform(), configs, 25, 3), direct)
+    assert out.read_text() == direct.getvalue()
+    assert {row["variant"] for row in read_csv(out)} == {"", "local"}
 
 
 @pytest.mark.parametrize(
@@ -223,6 +275,21 @@ def test_bench_file_matches_direct_run(tmp_path):
     for row, stat in zip(rows, direct):
         assert float(row["mean"]) == pytest.approx(stat.mean, abs=5e-7)
         assert int(row["max"]) == stat.max
+
+
+def test_bench_file_local_matches_direct_run(tmp_path):
+    data = tmp_path / "vals.txt"
+    data.write_text("".join(f"{x * x}\n" for x in range(150)))
+    out = tmp_path / "stats.csv"
+    assert main([
+        "bench-file", "--input", str(data), "--variant", "local", "--trials", "30",
+        "--seed", "4", "--output", str(out),
+    ]) == 0
+    direct = io.StringIO()
+    configs = [SearchConfig.binary(), SearchConfig.interpolation(), SearchConfig.itp(Local())]
+    bench.write_csv(bench.run_trials(load_numeric(data), configs, 30, 4), direct)
+    assert out.read_text() == direct.getvalue()
+    assert read_csv(out)[2]["variant"] == "local"
 
 
 def test_bench_file_text_mode(tmp_path):
