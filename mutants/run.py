@@ -172,16 +172,7 @@ MUTANTS = [
     ),
     Mutant("worst-depth-leaf-one", ORACLE, "    return j\n", "    return j + 1\n"),
     # distributions and the trial runner
-    Mutant(
-        "sample-target-closed-lo", DISTRIBUTIONS,
-        "z = lo + (hi - lo) * rng.random()\n            if lo < z < hi:",
-        "z = lo + (hi - lo) * rng.random()\n            if lo <= z < hi:",
-    ),
-    Mutant(
-        "sample-target-closed-lo-halved", DISTRIBUTIONS,
-        "z = (lo / 2 + (hi / 2 - lo / 2) * rng.random()) * 2\n        if lo < z < hi:",
-        "z = (lo / 2 + (hi / 2 - lo / 2) * rng.random()) * 2\n        if lo <= z < hi:",
-    ),
+    Mutant("sample-target-closed-lo", DISTRIBUTIONS, "if lo < z < hi:", "if lo <= z < hi:"),
     Mutant("fill-list-unsorted", DISTRIBUTIONS, "values[1:-1].sort()", "pass"),
     Mutant(
         "trial-stream-shifted", DISTRIBUTIONS,

@@ -65,14 +65,6 @@ def _labels(config: SearchConfig):
     return config.strategy.value, "", None, None
 
 
-def _fixed_list(source: Source) -> Optional[SortedList]:
-    if isinstance(source, Dataset):
-        return source.list
-    if isinstance(source, SortedList):
-        return source
-    return None
-
-
 def run_trials(
     source: Source,
     strategies: Sequence[SearchConfig],
@@ -96,19 +88,19 @@ def run_trials(
     configs = list(strategies)
     if not configs:
         raise ValueError("need at least one strategy")
-    fixed = _fixed_list(source)
-    if fixed is None and n is None:
-        raise ValueError("n is required when sampling lists from a distribution")
-    if fixed is not None and n is not None and n != fixed.n:
-        raise ValueError(f"n={n} contradicts the fixed list's n={fixed.n}")
-
-    if fixed is not None:
-        n = fixed.n
-        lo, hi = fixed[0], fixed[n]
+    if isinstance(source, Dataset):
+        source = source.list
+    if isinstance(source, SortedList):
+        if n is not None and n != source.n:
+            raise ValueError(f"n={n} contradicts the fixed list's n={source.n}")
+        n = source.n
+        lo, hi = source[0], source[n]
         zs = [sample_target(lo, hi, trial_rng(master_seed, t)) for t in range(trials)]
-        _, queries, capped = search_block(fixed.values[np.newaxis], [zs], configs)
+        _, queries, capped = search_block(source.values[np.newaxis], [zs], configs)
         queries, capped = queries[:, 0], capped[:, 0]
     else:
+        if n is None:
+            raise ValueError("n is required when sampling lists from a distribution")
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         block_rows = min(trials, max(1, BLOCK_BYTES // (8 * (n + 1))))
@@ -147,17 +139,13 @@ def sweep_kappa(
     trials: int,
     seed: int,
     *,
-    variant=None,
+    variant=Strict(),
     cap: int = DEFAULT_CAP,
-    spec: Optional[DistributionSpec] = None,
+    spec: DistributionSpec = Uniform(),
 ) -> list[TrialStats]:
     """One row per (kappa1, kappa2) cell, sharing (list, z) draws across cells."""
     if not kappa1_grid or not kappa2_grid:
         raise ValueError("kappa grids must be non-empty")
-    if variant is None:
-        variant = Strict()
-    if spec is None:
-        spec = Uniform()
     configs = [
         SearchConfig.itp(variant=variant, kappa1=k1, kappa2=k2, cap=cap)
         for k2 in kappa2_grid

@@ -9,6 +9,7 @@ the strict rule.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -82,12 +83,16 @@ def _strategies(args) -> list[SearchConfig]:
     ]
 
 
+def _output(path: str):
+    """The --output sink: stdout for -, else the file, with no newline translation."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", newline="")
+
+
 def _emit(rows, output: str) -> None:
-    if output == "-":
-        bench.write_csv(rows, sys.stdout)
-    else:
-        with open(output, "w", newline="") as fh:
-            bench.write_csv(rows, fh)
+    with _output(output) as fh:
+        bench.write_csv(rows, fh)
 
 
 def _add_run_flags(parser) -> None:
@@ -168,7 +173,7 @@ def check_binary_depth_band(max_n: int):
 
 def check_equivalence(trials: int, seed: int):
     """Every strategy finds the linear-scan cell on `trials` random lists of n=2..512."""
-    specs = (Uniform(), Gaussian(), Exponential(), Triangular(), Step())
+    specs = [spec() for spec in DISTRIBUTIONS.values()]
     configs = (
         SearchConfig.binary(),
         SearchConfig.interpolation(),
@@ -299,12 +304,8 @@ def _cmd_bench_file(args) -> int:
 
 def _cmd_generate(args) -> int:
     dataset = datasets.generate(args.kind, args.n)
-    lines = "".join(f"{value!r}\n" for value in dataset.list.values.tolist())
-    if args.output == "-":
-        sys.stdout.write(lines)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(lines)
+    with _output(args.output) as fh:
+        fh.write("".join(f"{value!r}\n" for value in dataset.list.values.tolist()))
     return 0
 
 

@@ -167,12 +167,8 @@ def sample_target(lo: float, hi: float, seed) -> float:
     if math.nextafter(lo, hi) == hi:
         raise ValueError(f"no float lies strictly inside ({lo}, {hi})")
     rng = as_rng(seed)
-    if hi - lo < math.inf:
-        while True:
-            z = lo + (hi - lo) * rng.random()
-            if lo < z < hi:
-                return z
+    s = 1.0 if hi - lo < math.inf else 2.0
     while True:
-        z = (lo / 2 + (hi / 2 - lo / 2) * rng.random()) * 2
+        z = (lo / s + (hi / s - lo / s) * rng.random()) * s
         if lo < z < hi:
             return z

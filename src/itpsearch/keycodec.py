@@ -13,23 +13,14 @@ encodes every line of a text at once with numpy, bit-identically.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 __all__ = ["MAX_DIGITS", "normalize", "encode_base27", "encode_lines"]
 
-
-def _max_digits() -> int:
-    # Deepest digit whose weight 27**-d still exceeds one double ulp at 1.0;
-    # deeper digits could not change the encoded value reliably.
-    d = 0
-    while 27.0 ** -(d + 1) > sys.float_info.epsilon:
-        d += 1
-    return d
-
-
-MAX_DIGITS = _max_digits()
+# The deepest digit whose weight still exceeds one double ulp at 1.0, as
+# 27**-10 > 2**-52 >= 27**-11; deeper digits could not change the encoded
+# value reliably.
+MAX_DIGITS = 10
 
 _DENOM = 27**MAX_DIGITS
 

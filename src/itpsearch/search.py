@@ -15,14 +15,8 @@ Each rule is defined once, by ``make_probe_fn``; ``search`` and the oracles
 both drive it.  Where the minmax radius is 0, projection puts any point on
 the midpoint, so the itp rule returns the midpoint without interpolating.
 ``search_block`` searches lanes of (list, target, config) in lockstep with
-numpy, and ``search_many`` is its one-list, one-config case.  Its loop
-evaluates one array formula, the itp step, on every lane, from one row
-(kappa1, kappa2, radius anchor) per config: binary is the row (0, 0, -inf),
-radius 0, and interpolation the row (0, 0, +inf), no truncation and an
-unbounded radius.  The formula repeats the scalar arithmetic operation by
-operation, and evaluates the whole step on a lane of radius 0 too, which
-gives the midpoint the scalar rule returns; differential tests hold it equal
-to each scalar rule.
+numpy, and ``search_many`` is its one-list, one-config case; its docstring
+says how one array formula gives every rule's probes.
 Endpoint values are cached with the bracket, so a search is charged one
 query per interior probe only.
 """
@@ -30,7 +24,7 @@ query per interior probe only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import floor, isfinite
 from typing import Callable, Sequence
@@ -176,7 +170,7 @@ class SearchConfig:
     strategy: Strategy = Strategy.ITP
     kappa1: float = DEFAULT_KAPPA1
     kappa2: float = DEFAULT_KAPPA2
-    variant: Variant = field(default_factory=Relaxed)
+    variant: Variant = Relaxed()
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
@@ -202,7 +196,7 @@ class SearchConfig:
     @classmethod
     def itp(
         cls,
-        variant: Variant | None = None,
+        variant: Variant = Relaxed(),
         kappa1: float = DEFAULT_KAPPA1,
         kappa2: float = DEFAULT_KAPPA2,
         cap: int = DEFAULT_CAP,
@@ -211,7 +205,7 @@ class SearchConfig:
             strategy=Strategy.ITP,
             kappa1=kappa1,
             kappa2=kappa2,
-            variant=Relaxed() if variant is None else variant,
+            variant=variant,
             cap=cap,
         )
 
@@ -487,11 +481,13 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     x_half, which equals x_f.  An unbounded radius keeps x_t, and a radius of
     0 gives x_half - sigma * 0 = x_half, which rounds to (a + b) // 2: the
     probe the scalar rule returns there at once, while this loop evaluates
-    the whole step on the lane.  The brackets are float64,
-    which holds every index below 2**53 exactly.  A closed bracket is a fixed
-    point of the step (its probe clamps to a, which moves nothing, and an
-    exact hit hits again), so closed lanes stay in the arrays, their probe
-    counts frozen, until ``COMPACT`` of the lanes has closed.  The loop runs
+    the whole step on the lane.  The loop's cost is in its numpy calls more
+    than in its lanes, so the brackets are float64, which holds every index
+    below 2**53 exactly and needs no casts between the integer and float
+    arithmetic.  A closed bracket is a fixed point of the step (its probe
+    clamps to a, which moves nothing, and an exact hit hits again), so closed
+    lanes stay in the arrays, their probe counts frozen, until ``COMPACT`` of
+    the lanes has closed.  The loop runs
     while more than ``SCALAR_FINISH`` lanes are open and stops at the smallest
     cap; a block whose keys can overflow the interpolation line (n times its
     largest |row end| at least 2**1020) skips it.  The scalar loop finishes
@@ -528,9 +524,7 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     # Lane i searches z[i] with configs[c[i]] on the keys flat[base[i] :
     # base[i] + n + 1] and writes its outcome at index lane[i] of the flattened
     # outputs, which is its (config, row, target).  The brackets a and b are
-    # float64.  A closed lane stays in the arrays until the next compaction or
-    # the scalar finish: q counts each lane's probes, and live marks the lanes
-    # still open.
+    # float64, q counts each lane's probes, and live marks the lanes still open.
     flat = np.ascontiguousarray(block).reshape(-1)
     k_out, q_out, capped_out = k_star.reshape(-1), queries.reshape(-1), capped.reshape(-1)
     c = np.repeat(np.arange(len(configs)), searched.size)
@@ -575,14 +569,11 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             d = va - vb
             x_f = (b * (va - z) - a * (vb - z)) / d
             x_f = np.minimum(np.maximum(x_f, a), b)
-            # truncate: with kappa2 = 0, C pow gives delta ** 0 = 1, so binary
-            # and interpolation lanes step 0.0 * 1.0 = 0.  Each operation is the
-            # scalar rule's IEEE operation, the powers too: ``**`` on floats
-            # calls C pow, and so does np.float_power's float64 loop, while
-            # np.power dispatches to a SIMD pow that differs in the last bit for
-            # about 5% of deltas.  sigma * (x_t - x_half) < 0 is the scalar test
-            # that x_t stopped short of x_half on sigma's side: the difference
-            # of two floats has the sign of their order.
+            # truncate, each operation the scalar rule's IEEE operation (np.power
+            # differs from C pow in the last bit for about 5% of deltas).
+            # sigma * (x_t - x_half) < 0 is the scalar test that x_t stopped
+            # short of x_half on sigma's side: the difference of two floats has
+            # the sign of their order.
             gap = x_half - x_f
             sigma = np.sign(gap)
             step = kappa1s[c] * np.float_power(delta, kappa2s[c])
@@ -597,8 +588,7 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
             r = np.maximum(width - delta / 2, 0.0)
             # project
             np.putmask(x_t, np.abs(x_t - x_half) > r, x_half - sigma * r)
-            # round_toward_midpoint, then into (a, b): a closed lane probes a,
-            # which moves nothing, and an exact hit hits again
+            # round_toward_midpoint, then into (a, b)
             f = np.floor(x_t)
             k = f + ((f != x_t) & (x_t < x_half))
             k = np.minimum(np.maximum(k, a + 1), b - 1)
@@ -628,9 +618,6 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
                 lane, c, base, z, q = lane[live], c[live], base[live], z[live], q[live]
                 a, b, va, vb, delta = a[live], b[live], va[live], vb[live], delta[live]
                 live = live[live]
-    # the scalar loop finishes every lane left, open or closed, from its own
-    # probe count: a closed bracket returns at once, and an open lane spends
-    # what is left of its cap
     probes = {ci: make_probe_fn(configs[ci], n) for ci in set(c.tolist())}
     lanes = zip(
         lane.tolist(), c.tolist(), base.tolist(), z.tolist(), q.tolist(),

@@ -168,6 +168,8 @@ def test_sweep_kappa_grid_shape():
     assert all(r.variant == "strict" for r in rows)
     with pytest.raises(ValueError):
         sweep_kappa([], [0.83], 64, 10, 1)
+    with pytest.raises(ValueError, match="variant must be Strict, Relaxed or Local"):
+        sweep_kappa([0.01], [0.83], 64, 10, 1, variant=None)
 
 
 def test_table1_grid_constants():

@@ -248,6 +248,11 @@ def test_sweep_n_requires_grid(capsys):
     with pytest.raises(SystemExit):
         main(["sweep-n"])
     assert "--n" in capsys.readouterr().err
+    # "," splits into blanks only, which argparse reports as a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-n", "--n", ","])
+    assert exc.value.code == 2
+    assert "empty list: ','" in capsys.readouterr().err
 
 
 def test_bench_file_matches_direct_run(tmp_path):

@@ -188,7 +188,7 @@ class _StubGenerator(np.random.Generator):
 
 def test_sample_target_redraws_an_endpoint_hit():
     # a draw of 0.0 lands on lo (probability 2**-53, so no seeded stream
-    # reaches it) and must be redrawn, in both the plain and the halved branch
+    # reaches it) and must be redrawn, on a plain and on an overflowing span
     for lo, hi in ((0.25, 0.75), (-1.7e308, 1.7e308)):
         stub = _StubGenerator([0.0, 0.5])
         z = sample_target(lo, hi, stub)

@@ -115,6 +115,8 @@ def test_average_depth_c2_examples():
     assert average_depth_c2(2) == pytest.approx(1.0)
     n = 2**17 + 1
     assert average_depth_c2(n) >= minmax_bound(n) - 2
+    with pytest.raises(ValueError, match="n must be >= 2, got 1"):
+        average_depth_c2(1)
 
 
 def test_average_depth_c2_band():
@@ -130,6 +132,8 @@ def test_binary_equality_profile_small_cases():
     # n=3: k*=1 hits in 1; k*=2 and k*=3 take 2 probes each
     p = binary_equality_profile(3)
     assert (p.max_depth, p.avg_depth) == (2, Fraction(5, 3))
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        binary_equality_profile(0)
 
 
 def test_binary_equality_profile_bounds():

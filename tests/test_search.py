@@ -217,6 +217,7 @@ def test_sorted_list_validation():
     assert lst.n == 3
     assert len(lst) == 4
     assert lst[2] == 1.0
+    assert repr(lst) == "SortedList(n=3, range=[0.0, 2.0])"
 
 
 @given(
@@ -255,6 +256,8 @@ def test_search_config_validation():
     for variant in (None, "strict", Strict):
         with pytest.raises(ValueError, match="variant must be Strict, Relaxed or Local"):
             SearchConfig(variant=variant)
+        with pytest.raises(ValueError, match="variant must be Strict, Relaxed or Local"):
+            SearchConfig.itp(variant=variant)
     # inf and NaN pass a bare cap < 1 test, and 2.5 is not a probe count
     for cap in (0, math.inf, math.nan, 2.5):
         with pytest.raises(ValueError, match="cap must be a positive integer"):
