@@ -7,8 +7,10 @@ place.  The runner copies the working tree once, at the start, so one run
 tests one tree however the working tree changes meanwhile.  For each mutant
 it copies that snapshot to a fresh directory, applies the mutant there, runs
 ``pytest -x`` on the mutant's test files with a fixed Hypothesis seed, and
-prints ``killed`` with the first failing test, or ``survived``.  The working
-tree is never touched.
+prints ``killed`` with the first failing test, or ``survived``.  A mutant
+whose tests run past ``TIMEOUT_S`` (a loop that never ends) is killed with its
+whole process group and counts as ``killed``.  The working tree is never
+touched.
 
 Usage (from the repository root; stdlib only, besides pytest and hypothesis)::
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -45,6 +48,8 @@ TESTS = (
     "tests/test_cli.py",
 )
 LOADING_TESTS = ("tests/test_keycodec.py", "tests/test_datasets.py")
+# well above the ~21 s the TESTS set takes, so only a hang reaches it
+TIMEOUT_S = 300
 
 
 class Mutant(NamedTuple):
@@ -175,6 +180,12 @@ MUTANTS = [
     Mutant("sample-target-closed-lo", DISTRIBUTIONS, "if lo < z < hi:", "if lo <= z < hi:"),
     Mutant("fill-list-unsorted", DISTRIBUTIONS, "values[1:-1].sort()", "pass"),
     Mutant(
+        "fill-stops-at-full", DISTRIBUTIONS,
+        "            got += take\n",
+        "            got += take\n            if got == out.size:\n                break\n",
+    ),
+    Mutant("step-first-chunk-side", DISTRIBUTIONS, "side = left[start : start + CHUNK]", "side = left[: u.size]"),
+    Mutant(
         "trial-stream-shifted", DISTRIBUTIONS,
         "ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))",
         "ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index + 1,))",
@@ -212,13 +223,23 @@ def run(mutant: Mutant, snapshot: Path) -> tuple[str, str]:
             sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
             "--hypothesis-seed=0", *mutant.tests,
         ]  # fmt: skip
-        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
-    if done.returncode == 0:
+        # its own session, so a timeout can kill pytest and every CLI child it started
+        proc = subprocess.Popen(
+            cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )  # fmt: skip
+        try:
+            stdout, stderr = proc.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            return "killed", f"timed out after {TIMEOUT_S} s"
+    if proc.returncode == 0:
         return "survived", ""
-    failed = [line for line in done.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
-    if done.returncode == 1 and failed:
+    failed = [line for line in stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    if proc.returncode == 1 and failed:
         return "killed", failed[0].split(" - ")[0].split(" ", 1)[1]
-    return "error", done.stdout.strip().splitlines()[-1] if done.stdout.strip() else done.stderr
+    return "error", stdout.strip().splitlines()[-1] if stdout.strip() else stderr
 
 
 def main(argv: list[str]) -> int:

@@ -1,10 +1,13 @@
 """Seeded generators: structure, determinism, and distribution shape."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from itpsearch import distributions
 from itpsearch.distributions import (
     Exponential,
     Gaussian,
@@ -59,6 +62,70 @@ def test_fill_list_row_equals_sample_list(spec, n):
     assert block[1].tolist() == lst.values.tolist()
     assert np.isnan(block[[0, 2]]).all()
     assert rng.random() == ref_rng.random()
+
+
+WHOLE = 2**20  # a CHUNK above any batch: the first is max(64, 1.5 * 2e5) = 300,000 draws
+
+
+def _fill_bits(spec, n, trial, chunk):
+    """fill_list's key bits and the stream's next draw, at the given CHUNK."""
+    values = np.empty(n + 1)
+    rng = trial_rng(21, trial)
+    with mock.patch.object(distributions, "CHUNK", chunk):
+        fill_list(spec, values, rng)
+    return values.tobytes(), rng.random()
+
+
+# the first trials of master seed 21 whose Gaussian mean (the stream's first
+# draw) lies within 0.003 of an end: a sigma = 0.01 fill there rejects about
+# 4 draws in 10 and takes 3-5 batches at n = 1000 and 5000
+EDGE_TRIALS = (443, 1339, 1388, 1451)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [pytest.param(spec, n, id=f"{spec}-{n}")
+     for n in (1, 2, 17, 1000, 5000)
+     for spec in (Gaussian(), Gaussian(0.3), Exponential(), Exponential(rate=math.log(max(n, 2))),
+                  Step(), Step(0.1, 0.9))],
+)  # fmt: skip
+def test_chunked_fill_equals_whole_batch_fill(spec, n):
+    # drawing each batch (and each of Step's passes) a chunk at a time gives
+    # the keys and the stream position of one draw call per batch, also when
+    # a chunk ends mid-batch, when out fills mid-batch, and past the last chunk
+    assert all(abs(trial_rng(21, t).random() - 0.5) > 0.497 for t in EDGE_TRIALS)
+    trials = (0, 1, *EDGE_TRIALS) if spec == Gaussian() else (0, 1)
+    for trial in trials:
+        whole = _fill_bits(spec, n, trial, WHOLE)
+        for chunk in (1, 7, 64):
+            assert _fill_bits(spec, n, trial, chunk) == whole, (trial, chunk)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (Gaussian(), Gaussian(0.3), Exponential(), Exponential(rate=math.log(200_000)), Step(), Step(0.1, 0.9)),
+    ids=str,
+)
+def test_default_chunk_fill_equals_whole_batch_fill(spec):
+    # at n = 2e5 the first batch and both Step passes span several chunks
+    n = 200_000
+    assert _fill_bits(spec, n, 3, distributions.CHUNK) == _fill_bits(spec, n, 3, WHOLE)
+
+
+@pytest.mark.parametrize("spec", (Gaussian(), Exponential(), Step()), ids=lambda s: type(s).__name__)
+def test_fill_list_temporaries_fit_in_chunks(spec):
+    # beyond its row a fill holds Step's n-byte side mask and a few chunks,
+    # not batch-sized arrays (those took 4.2-6.6 MB at n = 2e5)
+    n = 200_000
+    values = np.empty(n + 1)
+    rng = trial_rng(21, 0)
+    tracemalloc.start()
+    try:
+        fill_list(spec, values, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n + 32 * distributions.CHUNK
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
