@@ -68,11 +68,15 @@ MUTANTS = [
         "(arr[:-1] <= arr[1:]).all()",
     ),
     Mutant("sorted-list-strict-order", SEARCH, "(arr[:-1] <= arr[1:]).all()", "(arr[:-1] < arr[1:]).all()"),
+    Mutant(
+        "sorted-list-bound-1021", SEARCH,
+        "if (arr.size - 1) * max(-lo, hi) >= 2.0**1020:",
+        "if (arr.size - 1) * max(-lo, hi) >= 2.0**1021:",
+    ),
     Mutant("sorted-list-no-2to53-scan", SEARCH, "if max(-lo, hi) >= 2.0**53 and arr is not values:", "if False:"),
     Mutant("config-no-strategy-check", SEARCH, "if not isinstance(self.strategy, Strategy):", "if False:"),
     Mutant("config-no-variant-check", SEARCH, "if not isinstance(self.variant, Variant):", "if False:"),
     # the scalar rules and loop
-    Mutant("scalar-no-halved-redo", SEARCH, "if not (isfinite(x) and isfinite(d)):", "if False:"),
     # survives: both branches give x_half when x_f + step lands on it, and they
     # differ only where x_f + step rounds short of x_half while the step equals
     # the rounded gap, which no integer bracket of the tests reaches
@@ -124,11 +128,6 @@ MUTANTS = [
         "np.float_power(2.0, anchors - j - 1)[c * 0]",
     ),
     Mutant("block-no-local-width", SEARCH, "if local:", "if False:"),
-    Mutant(
-        "block-overflow-bound-1030", SEARCH,
-        "wide = n * float(max(-v0.min(), vn.max())) >= 2.0**1020",
-        "wide = n * float(max(-v0.min(), vn.max())) >= 2.0**1030",
-    ),
     # survives: with integer brackets below 2**51 the rounded x_t cannot pass
     # x_half (ROADMAP item 8); the test stays to match truncate operation by
     # operation, which keeps its guard for arbitrary floats

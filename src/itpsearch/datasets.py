@@ -24,8 +24,9 @@ __all__ = ["Dataset", "load_numeric", "load_text", "generate", "GENERATOR_KINDS"
 
 GENERATOR_KINDS = ("primes", "fibonacci", "harmonic")
 
-# float64 overflows at Fibonacci index ~1477; stay clear of the edge
-MAX_FIBONACCI_N = 1470
+# the largest n whose deduplicated list passes SortedList's magnitude bound:
+# at n = 1455 the list F_2..F_1456 has 1454 cells, and 1454 * F_1456 >= 2**1020
+MAX_FIBONACCI_N = 1454
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def generate(kind: str, n: int) -> Dataset:
         raw = _first_primes(n + 1)
     elif kind == "fibonacci":
         if n > MAX_FIBONACCI_N:
-            raise ValueError(f"fibonacci overflows float64 beyond n={MAX_FIBONACCI_N}")
+            raise ValueError(f"fibonacci exceeds the magnitude bound beyond n={MAX_FIBONACCI_N}")
         raw = _fibonacci(n + 1)
     elif kind == "harmonic":
         raw = np.cumsum(1.0 / np.arange(1, n + 2))

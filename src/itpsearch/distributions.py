@@ -181,18 +181,15 @@ def fill_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generat
 def sample_target(lo: float, hi: float, seed) -> float:
     """Uniform draw strictly inside (lo, hi); endpoint hits are redrawn.
 
-    The ends must be finite, and ValueError is raised when no float lies
-    strictly inside.  When ``hi - lo`` overflows float64 (ends near
-    +-1.7e308), the draw is made between the halved ends and doubled, as
-    ``interpolation_point`` halves its keys.
+    The ends and their distance ``hi - lo`` must be finite, and ValueError
+    is raised when no float lies strictly inside.
     """
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if not (lo < hi and hi - lo < math.inf):
+        raise ValueError(f"need finite lo < hi and hi - lo, got [{lo}, {hi}]")
     if math.nextafter(lo, hi) == hi:
         raise ValueError(f"no float lies strictly inside ({lo}, {hi})")
     rng = as_rng(seed)
-    s = 1.0 if hi - lo < math.inf else 2.0
     while True:
-        z = (lo / s + (hi / s - lo / s) * rng.random()) * s
+        z = lo + (hi - lo) * rng.random()
         if lo < z < hi:
             return z

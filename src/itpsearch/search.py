@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from math import floor, isfinite
+from math import floor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -126,7 +126,9 @@ class SortedList:
     NaN fails every comparison, and an ordered list holds its infinities and
     its largest magnitude at its ends.  NaN, infinities, decreasing keys and
     integer keys that float64 cannot hold exactly (such as 2**53 + 1) raise
-    ValueError.
+    ValueError, and so do keys whose largest magnitude, times n, reaches
+    2**1020: below that bound no interpolation line between two keys
+    overflows float64.
     """
 
     __slots__ = ("values", "n")
@@ -142,6 +144,8 @@ class SortedList:
             if not np.isfinite(arr).all():
                 raise ValueError("values must be finite (no NaN or inf)")
             raise ValueError("values must be non-decreasing")
+        if (arr.size - 1) * max(-lo, hi) >= 2.0**1020:
+            raise ValueError(f"n * max|key| must be below 2**1020, got {arr.size - 1} * {max(-lo, hi)}")
         if max(-lo, hi) >= 2.0**53 and arr is not values:
             # an integer key of magnitude >= 2**53 may have rounded to a neighbour
             # (a float64 array, which asarray passes through, holds no integer key)
@@ -241,17 +245,13 @@ def interpolation_point(a: int, b: int, va: float, vb: float, z: float) -> float
     """Linear interpolation of z between (a, va) and (b, vb).
 
     Falls back to the midpoint when va == vb (flat bracket, e.g. duplicate
-    keys), where the interpolation line is undefined.  When the arithmetic
-    overflows float64 (keys near +-1.7e308, where va - vb can be -inf), the
-    point is recomputed from halved keys, whose differences cannot overflow.
-    The result is clamped into [a, b] to shed float round-off.
+    keys), where the interpolation line is undefined.  On keys that a
+    ``SortedList`` admits the line is finite.  The result is clamped into
+    [a, b] to shed float round-off.
     """
     if va == vb:
         return (a + b) / 2
-    d = va - vb
-    x = (b * (va - z) - a * (vb - z)) / d
-    if not (isfinite(x) and isfinite(d)):
-        x = a + (b - a) * ((z / 2 - va / 2) / (vb / 2 - va / 2))
+    x = (b * (va - z) - a * (vb - z)) / (va - vb)
     # min(max(x, a), b), without the cost of two builtin calls: an end that
     # clamps comes back as the int, and x on an end stays the float
     if x < a:
@@ -463,8 +463,9 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     ``[c, r, t]`` equals the field of ``search(SortedList(block[r]), zs[r, t],
     configs[c])``.  The first target (row by row) outside its row's key range
     raises search's ValueError.  The rows themselves are not checked: each
-    must hold what a ``SortedList`` holds, finite non-decreasing keys, and a
-    row with a NaN or out of order is searched without a word.
+    must hold what a ``SortedList`` holds, finite non-decreasing keys within
+    its magnitude bound, and a row with a NaN, out of order or beyond the
+    bound is searched without a word.
 
     Each config gives its lanes one row (kappa1, kappa2, n_ref): an ITP
     config its kappas and radius anchor ``variant.n_ref(n)`` (NaN for
@@ -477,25 +478,23 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     its bracket.  Both powers are taken by ``np.float_power``, which calls C
     pow as ``**`` does (``np.power`` can differ in the last bit), so binary
     and interpolation come out bit for bit.  On every lane va < z <= vb, so
-    x_f is finite.  A step of 0 leaves x_t = x_f: where sigma is 0, x_t is
-    x_half, which equals x_f.  An unbounded radius keeps x_t, and a radius of
-    0 gives x_half - sigma * 0 = x_half, which rounds to (a + b) // 2: the
-    probe the scalar rule returns there at once, while this loop evaluates
-    the whole step on the lane.  The loop's cost is in its numpy calls more
-    than in its lanes, so the brackets are float64, which holds every index
-    below 2**53 exactly and needs no casts between the integer and float
-    arithmetic.  A closed bracket is a fixed point of the step (its probe
+    within the magnitude bound x_f is finite.  A step of 0 leaves x_t = x_f:
+    where sigma is 0, x_t is x_half, which equals x_f.  An unbounded radius
+    keeps x_t, and a radius of 0 gives x_half - sigma * 0 = x_half, which
+    rounds to (a + b) // 2: the probe the scalar rule returns there at once,
+    while this loop evaluates the whole step on the lane.  The loop's cost is
+    in its numpy calls more than in its lanes, so the brackets are float64,
+    which holds every index below 2**53 exactly and needs no casts between
+    the integer and float arithmetic.  A closed bracket is a fixed point of the step (its probe
     clamps to a, which moves nothing, and an exact hit hits again), so closed
     lanes stay in the arrays, their probe counts frozen, until ``COMPACT`` of
-    the lanes has closed.  The loop runs
-    while more than ``SCALAR_FINISH`` lanes are open and stops at the smallest
-    cap; a block whose keys can overflow the interpolation line (n times its
-    largest |row end| at least 2**1020) skips it.  The scalar loop finishes
+    the lanes has closed.  The loop runs while more than ``SCALAR_FINISH``
+    lanes are open and stops at the smallest cap.  The scalar loop finishes
     every lane that is left, from that lane's own probe count, so ``search``'s
     loop is the only code that spends a cap.  A cap below the search depth,
-    shared or not, and a block that skips the loop are searched more slowly
-    for it, since their lanes pass through the scalar loop one by one
-    (``BENCH_18.json`` ``library_cases`` has the figures).
+    shared or not, is searched more slowly for it, since its lanes pass
+    through the scalar loop one by one (``BENCH_18.json`` ``library_cases``
+    has the figures).
     """
     block = np.asarray(block, dtype=np.float64)
     zs = np.asarray(zs, dtype=np.float64)
@@ -535,16 +534,7 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     b = np.full(lane.size, float(n))
     va, vb = flat[base], flat[base + n]
     q = np.zeros(lane.size, dtype=np.int64)
-    # Every lane has va < z <= vb (va only ever takes a key below z, vb one at
-    # or above it), and sorted rows hold their largest magnitude at an end.  So
-    # |va - z|, |vb - z| and |d| are at most twice the largest end, and while n
-    # times it is below 2**1020 no product, difference or sum in x_f reaches
-    # 2**1024; and since |va - z| and |vb - z| are at most |d| and d is not 0,
-    # x_f is finite.  Above that bound the interpolation line can overflow, and
-    # the scalar loop, whose interpolation_point redoes it from halved keys,
-    # searches every lane.
-    wide = n * float(max(-v0.min(), vn.max())) >= 2.0**1020
-    live_count = 0 if wide else lane.size
+    live_count = lane.size
     j = 0
     if live_count > SCALAR_FINISH:
         # each config's row (kappa1, kappa2, n_ref); Local's None becomes NaN

@@ -315,12 +315,12 @@ def test_bench_file_narrow_and_overflowing_key_ranges(tmp_path, capsys):
     data.write_text("1.0\n1.0000000000000002\n")
     assert main(["bench-file", "--input", str(data), "--trials", "5"]) == 1
     assert "error: no float lies strictly inside" in capsys.readouterr().err
-    # the key range overflows float64: targets are drawn from halved ends
+    # keys beyond SortedList's magnitude bound are rejected when loaded
     data.write_text("-1.7e308\n0.5\n1.7e308\n")
-    out = tmp_path / "stats.csv"
-    argv = ["bench-file", "--input", str(data), "--trials", "50", "--output", str(out)]
-    assert main(argv) == 0
-    assert all(row["n"] == "2" and row["max"] == "1" for row in read_csv(out))
+    assert main(["bench-file", "--input", str(data), "--trials", "50"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: n * max|key| must be below 2**1020, got 2 * 1.7e+308" in captured.err
 
 
 def test_bench_file_flag_conflict(tmp_path, capsys):
@@ -356,6 +356,14 @@ def test_generate_roundtrip(tmp_path):
 def test_generate_stdout(capsys):
     assert main(["generate", "--kind", "primes", "--n", "4"]) == 0
     assert capsys.readouterr().out.split() == ["2.0", "3.0", "5.0", "7.0", "11.0"]
+
+
+def test_generate_fibonacci_beyond_the_bound(capsys):
+    # at n = 1455 the largest key, times the list's n, reaches SortedList's bound
+    assert main(["generate", "--kind", "fibonacci", "--n", "1455"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "magnitude bound beyond n=1454" in captured.err
 
 
 def test_generate_bad_kind(capsys):

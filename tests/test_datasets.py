@@ -230,7 +230,7 @@ def test_generate_fibonacci():
     # F_1..F_5 = 1,1,2,3,5; the duplicate 1 merges
     assert ds.list.values.tolist() == [1.0, 2.0, 3.0, 5.0]
     assert ds.dedup_count == 1
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(ValueError, match="magnitude bound"):
         generate("fibonacci", MAX_FIBONACCI_N + 1)
     assert np.isfinite(generate("fibonacci", MAX_FIBONACCI_N).list.values).all()
 

@@ -53,7 +53,20 @@ from itpsearch.search import (
 search_module = importlib.import_module("itpsearch.search")
 
 RAMP_1024 = SortedList(np.arange(1025) / 1024)
-HUGE = 1.7e308
+
+
+def _edge(n):
+    """The largest key magnitude a SortedList of n + 1 keys admits: the M
+    with n * M < 2**1020 <= n * nextafter(M, inf)."""
+    m = 2.0**1020 / n
+    while n * m >= 2.0**1020:
+        m = math.nextafter(m, 0)
+    while n * math.nextafter(m, math.inf) < 2.0**1020:
+        m = math.nextafter(m, math.inf)
+    return m
+
+
+EDGE_4 = _edge(4)
 
 
 def _shrink(a, b, k, lst, z):
@@ -86,11 +99,11 @@ def test_midpoint_examples():
 def test_interpolation_point_examples():
     assert interpolation_point(0, 10, 0.0, 1.0, 0.3) == 3.0
     assert interpolation_point(2, 6, 0.2, 0.6, 0.5) == pytest.approx(5.0)
-    # the key span overflows float64 (va - vb == -inf): halved keys are used
-    assert interpolation_point(0, 4, -HUGE, HUGE, 0.0) == 2.0
-    assert interpolation_point(0, 4, -HUGE, HUGE, 1.5e308) == pytest.approx(4 * 1.6 / 1.7)
-    # a finite span whose numerator overflows takes the same path
-    assert interpolation_point(2, 4, 0.0, HUGE, 1.5e308) == pytest.approx(2 + 2 * 1.5 / 1.7)
+    # keys at the largest magnitude a SortedList of 5 keys admits: no term of
+    # the line overflows, over the whole span or over half of it
+    assert interpolation_point(0, 4, -EDGE_4, EDGE_4, 0.0) == 2.0
+    assert interpolation_point(0, 4, -EDGE_4, EDGE_4, 0.5 * EDGE_4) == pytest.approx(3.0)
+    assert interpolation_point(2, 4, 0.0, EDGE_4, 0.75 * EDGE_4) == pytest.approx(3.5)
 
 
 @pytest.mark.parametrize(
@@ -233,6 +246,8 @@ def test_sorted_list_accepts_exactly_finite_non_decreasing(values):
     a = np.array(values)
     with np.errstate(over="ignore"):  # the gap between two finite keys may overflow to inf
         accepted = bool(np.isfinite(a).all() and (np.diff(a) >= 0).all())
+    # and n times the largest magnitude stays below the bound
+    accepted = accepted and (a.size - 1) * max(-values[0], values[-1]) < 2.0**1020
     try:
         SortedList(values)
     except ValueError:
@@ -573,18 +588,19 @@ def _adversarial_values(draw, size=st.integers(2, 41)):
     """Sorted keys that stress the rules' arithmetic; ``size`` draws how many.
 
     Integer grids with zero steps give plateaus and all-equal runs, a scale
-    of 5e-324 makes every step subnormal, and floats drawn up to +-1.7e308
-    give key spans that overflow float64 differences.
+    of 5e-324 makes every step subnormal, and floats drawn up to the largest
+    magnitude a SortedList of their size admits give the widest key spans.
     """
     count = draw(size)
+    edge = _edge(count - 1)
     if draw(st.booleans()):
         steps = draw(st.lists(st.integers(0, 3), min_size=count - 1, max_size=count - 1))
         scale = draw(st.sampled_from((5e-324, 1.0, 1e300)))
-        base = draw(st.sampled_from((0.0, -1.0, 1e308, -HUGE)))
+        base = draw(st.sampled_from((0.0, -1.0, edge / 2, -edge)))
         return [base + scale * i for i in itertools.accumulate(steps, initial=0)]
-    values = draw(st.lists(st.floats(-HUGE, HUGE), min_size=count, max_size=count))
+    values = draw(st.lists(st.floats(-edge, edge), min_size=count, max_size=count))
     if count >= 4 and draw(st.booleans()):
-        values[:2] = [-HUGE, HUGE]
+        values[:2] = [-edge, edge]
     return sorted(v + 0.0 for v in values)  # -0.0 + 0.0 is 0.0
 
 
@@ -599,7 +615,7 @@ def _adversarial_case(draw):
 
 @given(case=_adversarial_case(), config=_configs)
 @example(
-    case=([-HUGE, -1e308, 0.0, 1e308, HUGE], 1.5e308),
+    case=([-EDGE_4, -1e306, 0.0, 1e306, EDGE_4], 2e306),
     config=SearchConfig.interpolation(),
 )
 @settings(max_examples=500)
@@ -665,7 +681,7 @@ def _adversarial_batch(draw):
 
 @given(case=_adversarial_batch(), config=_batch_configs)
 @example(
-    case=([-HUGE, -1e308, 0.0, 1e308, HUGE], [1.5e308] * 10),
+    case=([-EDGE_4, -1e306, 0.0, 1e306, EDGE_4], [2e306] * 10),
     config=SearchConfig.interpolation(),
 )
 @settings(max_examples=300)
@@ -816,10 +832,10 @@ def _adversarial_block(draw):
 
 @given(case=_adversarial_block(), configs=st.lists(_batch_configs, min_size=1, max_size=6))
 @example(
-    # the interpolation line can overflow, so the scalar loop searches every lane
+    # rows out to the largest magnitude a SortedList admits, searched in lockstep
     case=(
-        np.array([[-HUGE, -1e308, 0.0, 1e308, HUGE], [-HUGE, -1.0, 0.0, 1.0, HUGE]]),
-        np.array([[1.5e308, -1.5e308, 1e308, 0.5, HUGE], [1.5e308, -1.5e308, -1.0, 0.5, 1.0]]),
+        np.array([[-EDGE_4, -1e306, 0.0, 1e306, EDGE_4], [-EDGE_4, -1.0, 0.0, 1.0, EDGE_4]]),
+        np.array([[2e306, -2e306, 1e306, 0.5, EDGE_4], [2e306, -2e306, -1.0, 0.5, 1.0]]),
     ),
     configs=[SearchConfig.binary(), SearchConfig.itp(Local()), SearchConfig.itp(Strict())],
 )
@@ -1064,21 +1080,22 @@ def test_zero_radius_step_skips_interpolation(monkeypatch):
 
 
 def test_search_block_overflow_bound_edge():
-    # search_block leaves a block to the scalar loop, which redoes overflowing
-    # interpolation lines, when n times the largest |row end| reaches 2**1020;
-    # below it no line can overflow.
-    # Skewed rows end just inside and just outside that bound, and a third
-    # pair of rows where the line does overflow (n * 2M is inf).
+    # SortedList admits keys while n times their largest magnitude is below
+    # 2**1020, and on those no interpolation line overflows: skewed rows that
+    # end at the largest such magnitude are searched through the lockstep loop
+    # as search searches them.  Rows one float beyond it, and rows out to
+    # 2**1015, where the line would overflow (n * 2M is inf), are rejected.
     n = 1000
-    inside = 2.0**1020 / n
-    while n * inside >= 2.0**1020:
-        inside = math.nextafter(inside, 0)
+    inside = _edge(n)
     outside = math.nextafter(inside, math.inf)
     assert n * inside < 2.0**1020 <= n * outside
     overflow = 2.0**1015
     assert n * (2 * overflow) == math.inf
     even = np.linspace(-1.0, 1.0, n + 1)
+    block = np.array([inside * even**3, inside * np.cbrt(even)])
+    assert (block[:, 0] == -inside).all() and (block[:, n] == inside).all()
     rng = np.random.default_rng(17)
+    zs = np.hstack([inside * (2 * rng.random((2, 20)) - 1), block[:, 1:n:97]])
     configs = [
         SearchConfig.binary(),
         SearchConfig.interpolation(),
@@ -1086,11 +1103,11 @@ def test_search_block_overflow_bound_edge():
         SearchConfig.itp(Relaxed()),
         SearchConfig.itp(Local()),
     ]
-    for end in (inside, outside, overflow):
-        block = np.array([end * even**3, end * np.cbrt(even)])
-        assert (block[:, 0] == -end).all() and (block[:, n] == end).all()
-        zs = np.hstack([end * (2 * rng.random((2, 20)) - 1), block[:, 1:n:97]])
-        _assert_block_matches(block, zs, configs)
+    _assert_block_matches(block, zs, configs)
+    for end in (outside, overflow):
+        for row in (end * even**3, end * np.cbrt(even)):
+            with pytest.raises(ValueError, match=r"n \* max\|key\| must be below 2\*\*1020"):
+                SortedList(row)
 
 
 # sha256 of _scalar_traces(), pinned with numpy 2.4.6 (PCG64 streams draw the
@@ -1101,8 +1118,8 @@ SCALAR_TRACES_SHA256 = "0908336658f5e03f63379d09ba8617e2a96f9ea86f4727620657aa1e
 def _scalar_traces():
     """(k_star, queries, trace, capped) of every search check_minmax_exhaustive(64)
     makes, of seeded searches with each of the five rules (and a capped one) on
-    each distribution at n <= 4096, and of searches on keys out to +-1.7e308,
-    one line each."""
+    each distribution at n <= 4096, and of searches on keys out to the largest
+    magnitude a SortedList of 9 keys admits, one line each."""
     outcomes = []
     real = cli.search
 
@@ -1127,9 +1144,10 @@ def _scalar_traces():
             zs = [sample_target(lst[0], lst[n], rng) for _ in range(20)]
             zs += [lst[0], lst[n // 2], lst[n]]
             outcomes += [search(lst, z, config) for z in zs for config in configs]
-    huge = SortedList([-HUGE, -1e308, -1e300, -1.0, 0.0, 1.0, 1e300, 1e308, HUGE])
-    for z in (-HUGE, -1.5e308, -1e307, -0.5, 0.0, 0.5, 1e307, 1e308, 1.5e308, HUGE):
-        outcomes += [search(huge, z, config) for config in configs]
+    m = _edge(8)
+    edge = SortedList([-m, -1e306, -1e300, -1.0, 0.0, 1.0, 1e300, 1e306, m])
+    for z in (-m, -1.2e306, -1e305, -0.5, 0.0, 0.5, 1e305, 1e306, 1.2e306, m):
+        outcomes += [search(edge, z, config) for config in configs]
     lines = [repr((o.k_star, o.queries, o.trace, o.capped)) for o in outcomes]
     return "\n".join(lines).encode()
 
