@@ -9,8 +9,9 @@ it copies that snapshot to a fresh directory, applies the mutant there, runs
 ``pytest -x`` on the mutant's test files with a fixed Hypothesis seed, and
 prints ``killed`` with the first failing test, or ``survived``.  A mutant
 whose tests run past ``TIMEOUT_S`` (a loop that never ends) is killed with its
-whole process group and counts as ``killed``.  The working tree is never
-touched.
+whole process group and counts as ``killed``.  A SIGTERM (or Ctrl-C) to the
+runner kills the running mutant's process group as well, and removes the
+snapshot and mutant directories.  The working tree is never touched.
 
 Usage (from the repository root; stdlib only, besides pytest and hypothesis)::
 
@@ -23,6 +24,7 @@ by a new test or by a reason, given next to the mutant below.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import signal
@@ -77,9 +79,9 @@ MUTANTS = [
     Mutant("config-no-strategy-check", SEARCH, "if not isinstance(self.strategy, Strategy):", "if False:"),
     Mutant("config-no-variant-check", SEARCH, "if not isinstance(self.variant, Variant):", "if False:"),
     # the scalar rules and loop
-    # survives: both branches give x_half when x_f + step lands on it, and they
-    # differ only where x_f + step rounds short of x_half while the step equals
-    # the rounded gap, which no integer bracket of the tests reaches
+    # survives, and is equivalent: by the proof at ``truncate`` in search.py, a
+    # step equal to |gap| gives x_f + sigma * step == x_half, which the mutant
+    # returns directly
     Mutant("truncate-step-lt", SEARCH, "if step <= abs(gap):", "if step < abs(gap):"),
     Mutant("radius-no-clamp", SEARCH, "return r if r > 0 else 0.0", "return r"),
     Mutant("scalar-tie-rule", SEARCH, "elif x < x_half:", "elif x <= x_half:"),
@@ -128,14 +130,8 @@ MUTANTS = [
         "np.float_power(2.0, anchors - j - 1)[c * 0]",
     ),
     Mutant("block-no-local-width", SEARCH, "if local:", "if False:"),
-    # survives: with integer brackets below 2**51 the rounded x_t cannot pass
-    # x_half (ROADMAP item 8); the test stays to match truncate operation by
-    # operation, which keeps its guard for arbitrary floats
-    Mutant(
-        "block-no-overshoot-test", SEARCH,
-        "np.putmask(x_t, ~((step <= np.abs(gap)) & short), x_half)",
-        "np.putmask(x_t, ~(step <= np.abs(gap)), x_half)",
-    ),
+    # without the mask a step longer than |gap| carries x_t past x_half
+    Mutant("block-no-step-mask", SEARCH, "np.putmask(x_t, ~(step <= np.abs(gap)), x_half)", "None"),
     Mutant("block-tie-rule", SEARCH, "(f != x_t) & (x_t < x_half)", "(f != x_t) & (x_t <= x_half)"),
     Mutant(
         "block-no-step", SEARCH,
@@ -233,6 +229,11 @@ def run(mutant: Mutant, snapshot: Path) -> tuple[str, str]:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
             return "killed", f"timed out after {TIMEOUT_S} s"
+        except BaseException:  # SIGTERM's SystemExit, or Ctrl-C, which its session misses
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
     if proc.returncode == 0:
         return "survived", ""
     failed = [line for line in stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
@@ -248,6 +249,8 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
         return 2
     chosen = [known[name] for name in argv] if argv else MUTANTS
+    # exit through the with blocks, which remove the snapshot and mutant directories
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     verdicts = []
     with tempfile.TemporaryDirectory(prefix="mutants-snapshot-") as tmp:
         snapshot = Path(tmp) / "tree"

@@ -36,8 +36,6 @@ class Dataset:
 
 
 def _finish(name: str, raw: np.ndarray) -> Dataset:
-    if not np.isfinite(raw).all():
-        raise ValueError(f"{name}: keys must be finite (no NaN or inf)")
     values = np.sort(raw)
     keep = np.empty(values.size, dtype=bool)  # the first of each run of equal keys
     keep[:1] = True
@@ -45,7 +43,11 @@ def _finish(name: str, raw: np.ndarray) -> Dataset:
     values = values[keep]
     if values.size < 2:
         raise ValueError(f"{name}: need at least 2 distinct values, got {values.size}")
-    return Dataset(list=SortedList(values), dedup_count=raw.size - values.size)
+    try:
+        lst = SortedList(values)
+    except ValueError as exc:  # NaN, infinities, or keys beyond the magnitude bound
+        raise ValueError(f"{name}: {exc}") from None
+    return Dataset(list=lst, dedup_count=raw.size - values.size)
 
 
 def _read_utf8(path: Path) -> str:
@@ -63,12 +65,12 @@ def _read_utf8(path: Path) -> str:
 
 def load_numeric(path, column: int | None = None) -> Dataset:
     """Parse one decimal number per row (or per row of a CSV column)."""
+    if column is not None and column < 1:
+        raise ValueError(f"column is 1-based, got {column}")
     path = Path(path)
     raw: list[float] = []
     # lines split as open() splits them, with newline=""
     with io.StringIO(_read_utf8(path), newline="") as fh:
-        if column is not None and column < 1:
-            raise ValueError(f"column is 1-based, got {column}")
         for lineno, row in enumerate(fh if column is None else csv.reader(fh), start=1):
             if not row or (column is None and row.isspace()):
                 continue

@@ -58,7 +58,10 @@ DEFAULT_NMAX_EXTRA = 0.99
 DEFAULT_CAP = 1000
 
 # One probe rule: (a, b, j, va, vb, z) -> interior index k, a < k < b, for the
-# bracket (a, b) with end values (va, vb) at iteration j.
+# bracket (a, b) with end values (va, vb) at iteration j.  Its domain: integers
+# with 0 <= a and b - a >= 2, a + b < 2**52, and va < z <= vb.  Every bracket of
+# search, search_block and strategy_worst_depth meets it (a list of 2**51
+# float64 keys would take 16 PiB).
 ProbeRule = Callable[[int, int, int, float, float, float], int]
 
 
@@ -244,13 +247,11 @@ def minmax_bound(n: int) -> int:
 def interpolation_point(a: int, b: int, va: float, vb: float, z: float) -> float:
     """Linear interpolation of z between (a, va) and (b, vb).
 
-    Falls back to the midpoint when va == vb (flat bracket, e.g. duplicate
-    keys), where the interpolation line is undefined.  On keys that a
-    ``SortedList`` admits the line is finite.  The result is clamped into
-    [a, b] to shed float round-off.
+    Takes a bracket of the probe rules' domain (``ProbeRule``), whose end
+    values differ, so the line is defined; on keys that a ``SortedList``
+    admits it is finite.  The result is clamped into [a, b] to shed float
+    round-off.
     """
-    if va == vb:
-        return (a + b) / 2
     x = (b * (va - z) - a * (vb - z)) / (va - vb)
     # min(max(x, a), b), without the cost of two builtin calls: an end that
     # clamps comes back as the int, and x on an end stays the float
@@ -268,18 +269,25 @@ def truncate(
 
     Returns ``(x_t, sigma)`` where sigma is the direction sign from x_f toward
     x_half (0 when they coincide).  If the nudge would overshoot the midpoint,
-    x_t is the midpoint itself, so |x_t - x_half| <= |x_f - x_half| always.
-    The overshoot test is made on the rounded x_t as well as on the step:
-    ``x_f + sigma * step`` can round onto the far side of x_half even when
-    step <= |gap| (e.g. x_f=0.75, x_half=5e-324, step=0.75 gives 0.0).
+    x_t is the midpoint itself.  For x_f in [a, b] and x_half = (a + b) / 2 of
+    a bracket of the probe rules' domain (``ProbeRule``), x_t lies between x_f
+    and x_half, by the proof below.
     """
     gap = x_half - x_f
     sigma = (gap > 0) - (gap < 0)
     step = kappa1 * delta**kappa2
+    # A step within the rounded |gap| never rounds past x_half.  Take sigma =
+    # +1.  Then g = x_half - x_f lies in (0, x_half], so the rounded |gap|
+    # exceeds g by at most half an ulp of x_half, and x_f + step lies at most
+    # that far above x_half.  x_half is a multiple of 1/2 below 2**51, so its
+    # last significand bit is 0, and round-to-nearest-even resolves that tie
+    # to x_half.  sigma = -1 is the mirror case.  At a power-of-two x_half the
+    # float spacing below it halves; there g < x_half holds, so g's own
+    # rounding is within half that spacing, or g = x_half exactly with no
+    # rounding, and the same tie argument applies.  So x_t never passes
+    # x_half, and a step equal to |gap| gives x_half itself.
     if step <= abs(gap):
-        x_t = x_f + sigma * step
-        if (x_t < x_half) if sigma > 0 else (x_t > x_half):
-            return x_t, sigma
+        return x_f + sigma * step, sigma
     return x_half, sigma
 
 
@@ -554,22 +562,18 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     with np.errstate(over="ignore", invalid="ignore"):
         while live_count > SCALAR_FINISH and j < first_cap:
             x_half = (a + b) / 2
-            # interpolation_point: on every lane va < z <= vb, so the
-            # flat-bracket midpoint never applies
+            # interpolation_point
             d = va - vb
             x_f = (b * (va - z) - a * (vb - z)) / d
             x_f = np.minimum(np.maximum(x_f, a), b)
             # truncate, each operation the scalar rule's IEEE operation (np.power
-            # differs from C pow in the last bit for about 5% of deltas).
-            # sigma * (x_t - x_half) < 0 is the scalar test that x_t stopped
-            # short of x_half on sigma's side: the difference of two floats has
-            # the sign of their order.
+            # differs from C pow in the last bit for about 5% of deltas); by the
+            # proof at truncate, a step within |gap| does not pass x_half
             gap = x_half - x_f
             sigma = np.sign(gap)
             step = kappa1s[c] * np.float_power(delta, kappa2s[c])
             x_t = x_f + sigma * step
-            short = sigma * (x_t - x_half) < 0
-            np.putmask(x_t, ~((step <= np.abs(gap)) & short), x_half)
+            np.putmask(x_t, ~(step <= np.abs(gap)), x_half)
             # minmax_radius, from each lane's half-width 2 ** (n_ref - j - 1)
             width = np.float_power(2.0, anchors - j - 1)[c]
             if local:  # Local: 2 ** (bit_length(delta - 1) - 1), on NaN widths

@@ -105,6 +105,12 @@ def test_load_numeric_csv_column(tmp_path):
         load_numeric(path, column=0)
 
 
+def test_load_numeric_checks_column_before_reading(tmp_path):
+    # a bad column is reported as such, not as the missing file it names
+    with pytest.raises(ValueError, match="column is 1-based, got 0"):
+        load_numeric(tmp_path / "missing.txt", column=0)
+
+
 def test_load_numeric_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1\nnope\n3\n")
@@ -122,7 +128,7 @@ def test_load_numeric_errors(tmp_path, capsys):
     odd = tmp_path / "odd.txt"
     for row in ("inf", "-inf", "nan"):
         odd.write_text(f"1\n{row}\n3\n")
-        with pytest.raises(ValueError, match="odd: keys must be finite"):
+        with pytest.raises(ValueError, match=r"odd: values must be finite \(no NaN or inf\)"):
             load_numeric(odd)
     odd.write_text("a,1\nb,inf\nc,3\n")
     with pytest.raises(ValueError, match="finite"):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itpsearch import cli
+from itpsearch import cli, oracle
 from itpsearch.bench import TABLE1_KAPPA1, TABLE1_KAPPA2
 from itpsearch.distributions import (
     Exponential,
@@ -88,14 +88,6 @@ def test_minmax_bound_examples():
         minmax_bound(0)
 
 
-def test_midpoint_examples():
-    # a flat bracket (va == vb) has no interpolation line: the exact midpoint
-    assert interpolation_point(0, 16, 1.0, 1.0, 1.0) == 8.0
-    assert interpolation_point(3, 4, 0.3, 0.3, 0.3) == 3.5
-    assert interpolation_point(0, 17, 0.0, 0.0, 0.0) == 8.5
-    assert interpolation_point(4, 9, 0.5, 0.5, 0.5) == 6.5
-
-
 def test_interpolation_point_examples():
     assert interpolation_point(0, 10, 0.0, 1.0, 0.3) == 3.0
     assert interpolation_point(2, 6, 0.2, 0.6, 0.5) == pytest.approx(5.0)
@@ -141,10 +133,24 @@ def test_truncate_examples():
     x_t, sigma = truncate(8.0, 8.0, 16, 0.01, 0.83)
     assert (x_t, sigma) == (8.0, 0)
 
-    # the rounded step lands past the midpoint (0.75 - 0.75 = 0.0 < 5e-324):
-    # the midpoint is returned instead of a point on its far side
-    x_t, sigma = truncate(0.75, 5e-324, 1, 0.75, 0.75)
-    assert (x_t, sigma) == (5e-324, -1)
+    # a step of exactly |gap| lands on the midpoint: 16**0.75 is 8.0
+    assert truncate(3.0, 8.0, 16, 0.625, 0.75) == (8.0, 1)
+    assert truncate(13.0, 8.0, 16, 0.625, 0.75) == (8.0, -1)
+
+    # ties: on the bracket (0, 3 * 2**46), x_half = 3 * 2**45 has ulp 2**-6, so
+    # the gap from x_f = 2**-7 rounds (to even) up to x_half, and x_f plus that
+    # step lies half an ulp above x_half, which again rounds to x_half
+    delta = 3 * 2**46
+    x_half = delta / 2
+    assert x_half - 2.0**-7 == x_half and 2.0**-7 + x_half == x_half
+    kappa1 = _kappa1_for(x_half, delta, 0.99)
+    assert truncate(2.0**-7, x_half, delta, kappa1, 0.99) == (x_half, 1)
+    # the same at the largest x_half of the domain, 2**51 - 1, with ulp 2**-2
+    delta = 2**52 - 2
+    x_half = delta / 2
+    assert x_half - 2.0**-3 == x_half and 2.0**-3 + x_half == x_half
+    kappa1 = _kappa1_for(x_half, delta, 0.83)
+    assert truncate(2.0**-3, x_half, delta, kappa1, 0.83) == (x_half, 1)
 
 
 def test_minmax_radius_examples():
@@ -407,21 +413,96 @@ _kappa1 = st.floats(0.001, 2.0, allow_nan=False)
 _kappa2 = st.floats(0.51, 0.99, allow_nan=False)
 
 
-@given(
-    x_f=st.floats(0.0, 100.0),
-    x_half=st.floats(0.0, 100.0),
-    delta=st.integers(1, 10**6),
-    kappa1=_kappa1,
-    kappa2=_kappa2,
-)
-@example(x_f=0.75, x_half=5e-324, delta=1, kappa1=0.75, kappa2=0.75)
-def test_truncate_never_overshoots(x_f, x_half, delta, kappa1, kappa2):
-    x_t, sigma = truncate(x_f, x_half, delta, kappa1, kappa2)
+def _kappa1_for(step, delta, kappa2):
+    """A kappa1 with kappa1 * delta**kappa2 == step exactly."""
+    k = step / delta**kappa2
+    for kappa1 in (k, math.nextafter(k, 0), math.nextafter(k, math.inf)):
+        if kappa1 * delta**kappa2 == step:
+            return kappa1
+    raise AssertionError(f"no kappa1 gives the step {step} at delta={delta}, kappa2={kappa2}")
+
+
+@st.composite
+def _truncation(draw):
+    """``truncate``'s arguments on a bracket (a, b) of the probe rules' domain:
+    a + b from small up to 2**52 - 2, x_f in [a, b] (often within 1 of an end,
+    where a small end gives it fine low bits), and a kappa1 drawn freely or
+    putting the step on |x_half - x_f| or on one of its float neighbours."""
+    total = draw(st.one_of(st.integers(2, 1000), st.integers(2, 2**52 - 2)))
+    a = draw(st.integers(0, total // 2 - 1))
+    b = total - a
+    x_f = draw(
+        st.one_of(
+            st.floats(a, b),
+            st.floats(a, min(a + 1, b)),
+            st.floats(max(b - 1, a), b),
+            st.sampled_from((a, b, -0.0 if a == 0 else float(a))),
+        )
+    )
+    kappa2 = draw(_kappa2)
+    on_gap = abs(total / 2 - x_f) / (b - a) ** kappa2
+    kappa1 = draw(
+        st.one_of(
+            _kappa1,
+            st.sampled_from(
+                (on_gap, math.nextafter(on_gap, 0), math.nextafter(on_gap, math.inf))
+            ).filter(lambda kappa1: kappa1 > 0),
+        )
+    )
+    return x_f, total / 2, b - a, kappa1, kappa2
+
+
+def _on_gap(a, b, x_f, kappa2):
+    """The truncation on (a, b) from x_f whose step is exactly |x_half - x_f|."""
+    x_half = (a + b) / 2
+    return x_f, x_half, b - a, _kappa1_for(abs(x_half - x_f), b - a, kappa2), kappa2
+
+
+def _truncation_edges(test):
+    """The proof's edge cases as examples: a power-of-two x_half with x_f on
+    either side of it, the largest bracket sum 2**52 - 2, and a tie."""
+    for case in (
+        _on_gap(0, 2**48, 2.0**-30, 0.99),  # the gap and the step round onto x_half = 2**47
+        _on_gap(0, 2**48, 2.0**48 - 2.0**-5, 0.99),  # the spacing below 2**47 is 2**-6
+        _on_gap(0, 2**52 - 2, 2.0**-3, 0.83),  # ulp(2**51 - 1) is 2**-2: a tie
+        _on_gap(0, 2**52 - 2, 2.0**52 - 2.5, 0.83),  # sigma = -1 at the largest sum
+        _on_gap(0, 3 * 2**46, 2.0**-7, 0.99),  # a tie below a non-power-of-two x_half
+    ):
+        test = example(case=case)(test)
+    return test
+
+
+def _guarded_truncate(x_f, x_half, delta, kappa1, kappa2):
+    """``truncate`` with a second overshoot test, on the rounded x_t: the
+    reference that shows that test changes no result on the domain."""
+    gap = x_half - x_f
+    sigma = (gap > 0) - (gap < 0)
+    step = kappa1 * delta**kappa2
+    if step <= abs(gap):
+        x_t = x_f + sigma * step
+        if (x_t < x_half) if sigma > 0 else (x_t > x_half):
+            return x_t, sigma
+    return x_half, sigma
+
+
+@given(case=_truncation())
+@_truncation_edges
+def test_truncate_never_overshoots(case):
+    x_f, x_half = case[:2]
+    x_t, sigma = truncate(*case)
     assert abs(x_t - x_half) <= abs(x_f - x_half)
     assert sigma == (x_half > x_f) - (x_half < x_f)
     # x_t stays on x_f's side of the midpoint
     if x_f != x_half:
         assert (x_t - x_half) * (x_f - x_half) >= 0
+
+
+@given(case=_truncation())
+@_truncation_edges
+def test_truncate_matches_the_guarded_reference(case):
+    # bit for bit, so a -0.0 or the type of x_t would show too
+    (got, sigma), (want, want_sigma) = truncate(*case), _guarded_truncate(*case)
+    assert (type(got), got.hex(), sigma) == (type(want), want.hex(), want_sigma)
 
 
 @given(
@@ -688,6 +769,38 @@ def _adversarial_batch(draw):
 def test_search_many_matches_search_adversarial(case, config):
     values, zs = case
     _assert_batch_matches(SortedList(values), zs, config)
+
+
+@given(case=_adversarial_case(), config=_batch_configs)
+@example(case=([0.0, 1.0, 1.0, 1.0, 1.0, 2.0], 1.0), config=SearchConfig.itp(Strict()))
+@settings(max_examples=200)
+def test_probe_rules_see_their_domain(case, config):
+    # every call of a rule that search, search_block's scalar finish and
+    # strategy_worst_depth make is on a bracket of the domain ProbeRule states,
+    # on plateaus, with z on a duplicated key and with z = values[n]
+    values, z = case
+
+    def checked(config, n):
+        rule = make_probe_fn(config, n)  # the module's own, which the patch leaves
+
+        def probe(a, b, j, va, vb, z):
+            assert type(a) is int and type(b) is int
+            assert 0 <= a and b - a >= 2 and a + b < 2**52
+            assert va < z <= vb
+            return rule(a, b, j, va, vb, z)
+
+        return probe
+
+    lst = SortedList(values)
+    zs = [z, *values]
+    with mock.patch.object(search_module, "make_probe_fn", checked):
+        for target in zs:
+            search(lst, target, config)
+        for finish in (2, search_module.SCALAR_FINISH):
+            with mock.patch.object(search_module, "SCALAR_FINISH", finish):
+                search_many(lst, zs, config)
+    if lst.n >= 2:
+        oracle.strategy_worst_depth(checked(config, lst.n), lst.n)
 
 
 def _text_keys(count, seed):
