@@ -19,7 +19,8 @@ Usage (from the repository root; stdlib only, besides pytest and hypothesis)::
     python mutants/run.py NAME ...   # the named mutants
 
 The exit status is 1 unless every mutant is killed.  A survivor is answered
-by a new test or by a reason, given next to the mutant below.
+by a new test; a mutant equivalent to the code, which no test can kill, is
+left out, with the reason given where it would stand below.
 """
 
 from __future__ import annotations
@@ -79,10 +80,9 @@ MUTANTS = [
     Mutant("config-no-strategy-check", SEARCH, "if not isinstance(self.strategy, Strategy):", "if False:"),
     Mutant("config-no-variant-check", SEARCH, "if not isinstance(self.variant, Variant):", "if False:"),
     # the scalar rules and loop
-    # survives, and is equivalent: by the proof at ``truncate`` in search.py, a
-    # step equal to |gap| gives x_f + sigma * step == x_half, which the mutant
-    # returns directly
-    Mutant("truncate-step-lt", SEARCH, "if step <= abs(gap):", "if step < abs(gap):"),
+    # ``if step <= abs(gap):`` -> ``if step < abs(gap):`` is not here: by the
+    # proof at ``truncate`` in search.py, a step equal to |gap| gives
+    # x_f + sigma * step == x_half, which that mutant returns directly
     Mutant("radius-no-clamp", SEARCH, "return r if r > 0 else 0.0", "return r"),
     Mutant("scalar-tie-rule", SEARCH, "elif x < x_half:", "elif x <= x_half:"),
     Mutant("scalar-cap-off-by-one", SEARCH, "if j >= cap:", "if j > cap:"),
@@ -186,9 +186,24 @@ MUTANTS = [
         "ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index + 1,))",
     ),
     Mutant("cap-hits-dropped", BENCH, "cap_hits = capped.sum(axis=1).tolist()", "cap_hits = [0] * len(configs)"),
-    # the key codec and the loaders' dedupe
+    # the key codec, the loaders' line rule and names, and their dedupe
     Mutant("codec-never-lowered", KEYCODEC, "text = text.lower()", "pass", LOADING_TESTS),
     Mutant("codec-crlf-kept", KEYCODEC, 'if "\\r" in text:', "if False:", LOADING_TESTS),
+    Mutant(
+        "codec-trailing-cr-no-end", KEYCODEC,
+        "if text and text[-1] not in _BREAKS:", 'if text and text[-1] != "\\n":', LOADING_TESTS,
+    ),
+    Mutant(
+        "utf8-line-lf-only", DATASETS,
+        "lineno = len(data[: exc.start + 1].splitlines())",
+        'lineno = data.count(b"\\n", 0, exc.start) + 1', LOADING_TESTS,
+    ),
+    Mutant("csv-line-by-record", DATASETS, "lineno = rows.line_num", "pass", LOADING_TESTS),
+    Mutant(
+        "key-error-by-stem", DATASETS,
+        "return _finish(str(path), encode_lines(text))", "return _finish(path.stem, encode_lines(text))",
+        LOADING_TESTS,
+    ),
     Mutant(
         "dedup-keep-all", DATASETS,
         "np.not_equal(values[1:], values[:-1], out=keep[1:])", "keep[1:] = True", LOADING_TESTS,

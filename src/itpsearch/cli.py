@@ -21,7 +21,6 @@ from .distributions import (
     Step,
     Triangular,
     Uniform,
-    as_rng,
     sample_list,
     sample_target,
 )
@@ -179,7 +178,7 @@ def check_equivalence(trials: int, seed: int):
         SearchConfig.interpolation(),
         SearchConfig.itp(variant=Relaxed()),
     )
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     for t in range(trials):
         n = int(rng.integers(2, 513))
         lst = sample_list(specs[t % len(specs)], n, rng)
@@ -194,7 +193,7 @@ def check_equivalence(trials: int, seed: int):
 
 def check_codec(pairs: int, seed: int):
     """The base-27 codes of `pairs` random strings order like their normalized keys."""
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     alphabet = "abcdefghijklmnopqrstuvwxyzABCDWXYZ .',-!;*0123456789"
     lengths = rng.integers(0, 15, size=2 * pairs)
     chars = rng.integers(0, len(alphabet), size=int(lengths.sum()))

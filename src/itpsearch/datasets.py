@@ -52,14 +52,22 @@ def _finish(name: str, raw: np.ndarray) -> Dataset:
 
 def _read_utf8(path: Path) -> str:
     """The file's text, without a leading byte order mark; a byte sequence
-    that is not UTF-8 raises ValueError naming the file and line."""
+    that is not UTF-8 raises ValueError naming the file and line.
+
+    Both loaders split this text into lines as ``open()`` does with
+    ``newline=""``: a line ends at "\\n", "\\r\\n" or "\\r", and at nothing
+    else, so a form feed or "\\u2028" is a character of its line.  Every line
+    number a loader reports counts lines this way, from 1.
+    """
     data = path.read_bytes()
     if data.startswith(codecs.BOM_UTF8):  # utf-8-sig would offset exc.start past it
         data = data[len(codecs.BOM_UTF8) :]
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        # bytes.splitlines breaks at b"\n", b"\r\n" and b"\r" only; the slice
+        # ends in the bad byte, which is no break, so its line is the last
+        lineno = len(data[: exc.start + 1].splitlines())
         raise ValueError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from None
 
 
@@ -69,13 +77,15 @@ def load_numeric(path, column: int | None = None) -> Dataset:
         raise ValueError(f"column is 1-based, got {column}")
     path = Path(path)
     raw: list[float] = []
-    # lines split as open() splits them, with newline=""
     with io.StringIO(_read_utf8(path), newline="") as fh:
-        for lineno, row in enumerate(fh if column is None else csv.reader(fh), start=1):
+        rows = fh if column is None else csv.reader(fh)
+        for lineno, row in enumerate(rows, start=1):
             if not row or (column is None and row.isspace()):
                 continue
-            if column is not None and column > len(row):
-                raise ValueError(f"{path}:{lineno}: no column {column}")
+            if column is not None:
+                lineno = rows.line_num  # a record's last line: a quoted field may span lines
+                if column > len(row):
+                    raise ValueError(f"{path}:{lineno}: no column {column}")
             text = row.strip() if column is None else row[column - 1].strip()
             try:
                 raw.append(float(text))
@@ -83,16 +93,16 @@ def load_numeric(path, column: int | None = None) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: not a number: {text!r}") from None
     if not raw:
         raise ValueError(f"{path}: no values")
-    return _finish(path.stem, np.asarray(raw))
+    return _finish(str(path), np.asarray(raw))
 
 
 def load_text(path) -> Dataset:
     """Encode one key per line via base-27; codec collisions merge."""
     path = Path(path)
-    text = _read_utf8(path)  # encode_lines splits lines as open() does
+    text = _read_utf8(path)
     if not text:
         raise ValueError(f"{path}: no keys")
-    return _finish(path.stem, encode_lines(text))
+    return _finish(str(path), encode_lines(text))
 
 
 def _first_primes(count: int) -> np.ndarray:

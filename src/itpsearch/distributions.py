@@ -27,7 +27,6 @@ __all__ = [
     "Triangular",
     "Step",
     "DistributionSpec",
-    "as_rng",
     "trial_rng",
     "sample_list",
     "fill_list",
@@ -143,13 +142,6 @@ class Step:
 DistributionSpec = Uniform | Gaussian | Exponential | Triangular | Step
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Accept an integer seed or a ready Generator and return a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Child stream for one trial, derived from the master seed."""
     ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
@@ -165,7 +157,7 @@ def sample_list(spec: DistributionSpec, n: int, seed) -> SortedList:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values = np.empty(n + 1)
-    fill_list(spec, values, as_rng(seed))
+    fill_list(spec, values, np.random.default_rng(seed))
     return SortedList(values)
 
 
@@ -188,7 +180,7 @@ def sample_target(lo: float, hi: float, seed) -> float:
         raise ValueError(f"need finite lo < hi and hi - lo, got [{lo}, {hi}]")
     if math.nextafter(lo, hi) == hi:
         raise ValueError(f"no float lies strictly inside ({lo}, {hi})")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     while True:
         z = lo + (hi - lo) * rng.random()
         if lo < z < hi:

@@ -24,14 +24,13 @@ MAX_DIGITS = 10
 
 _DENOM = 27**MAX_DIGITS
 
-# The line breaks of str.splitlines(); "\r\n" counts as one.
-_ASCII_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"
-_WIDE_BREAKS = "\x85\u2028\u2029"
+# The line breaks of open(), by the rule datasets._read_utf8 states.
+_BREAKS = "\n\r"
 # bytes.translate: a..z and A..Z become digits 1..26 and a line break
 # becomes 0; every other byte is deleted.
 _LETTERS = b"abcdefghijklmnopqrstuvwxyz"
-_KEPT = _LETTERS + _LETTERS.upper() + _ASCII_BREAKS.encode()
-_TO_DIGITS = bytes.maketrans(_KEPT, bytes(range(1, 27)) * 2 + bytes(len(_ASCII_BREAKS)))
+_KEPT = _LETTERS + _LETTERS.upper() + _BREAKS.encode()
+_TO_DIGITS = bytes.maketrans(_KEPT, bytes(range(1, 27)) * 2 + bytes(len(_BREAKS)))
 _NOT_DIGITS = bytes(b for b in range(256) if b not in _KEPT)
 
 
@@ -62,24 +61,23 @@ def encode_base27(text: str) -> float:
 
 
 def encode_lines(text: str) -> np.ndarray:
-    """Encode each line of `text`, split as ``str.splitlines`` splits it.
+    """Encode each line of `text`, split as ``open()`` splits it (the rule
+    ``datasets._read_utf8`` states).
 
     Returns one float64 per line, bit-identical to
-    ``[encode_base27(line) for line in text.splitlines()]``.  Text with a
-    character beyond ASCII is lowered once; on ASCII text ``str.lower`` maps
-    only A..Z, which the digit table reads as a..z.  The letters become
-    digit bytes and each line ends in a 0 byte; the digit sums are then
-    built one letter column at a time in exact int64 and divided once, as
-    ``encode_base27`` does.
+    ``[encode_base27(line) for line in io.StringIO(text, newline="")]``.
+    Text with a character beyond ASCII is lowered once; on ASCII text
+    ``str.lower`` maps only A..Z, which the digit table reads as a..z.  The
+    letters become digit bytes and each line ends in a 0 byte; the digit
+    sums are then built one letter column at a time in exact int64 and
+    divided once, as ``encode_base27`` does.
     """
     if not text.isascii():
         text = text.lower()
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    for brk in _WIDE_BREAKS:  # before encoding to ASCII would drop them
-        text = text.replace(brk, "\n")
     digits = text.encode("ascii", "ignore").translate(_TO_DIGITS, _NOT_DIGITS)
-    if text and text[-1] not in _ASCII_BREAKS:
+    if text and text[-1] not in _BREAKS:
         digits += b"\0"  # the last line has no break of its own
     buf = np.frombuffer(digits, dtype=np.uint8)
     ends = np.flatnonzero(buf == 0)

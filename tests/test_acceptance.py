@@ -31,7 +31,6 @@ from itpsearch.distributions import (
     Step,
     Triangular,
     Uniform,
-    as_rng,
     sample_list,
     sample_target,
     trial_rng,
@@ -196,7 +195,7 @@ def test_06_binary_lower_bounds():
         # equality protocol: k* uniform over the cells, z = values[k*];
         # binary probes depend on indices only, so one ramp list suffices
         lst = SortedList(np.arange(n + 1, dtype=float))
-        rng = as_rng(SEED + 7)
+        rng = np.random.default_rng(SEED + 7)
         hits = rng.integers(1, n + 1, size=10_000)
         total = sum(search(lst, float(k), SearchConfig.binary()).queries for k in hits)
         eq_mean = total / hits.size

@@ -320,7 +320,7 @@ def test_bench_file_narrow_and_overflowing_key_ranges(tmp_path, capsys):
     assert main(["bench-file", "--input", str(data), "--trials", "50"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: f: n * max|key| must be below 2**1020, got 2 * 1.7e+308" in captured.err
+    assert f"error: {data}: n * max|key| must be below 2**1020, got 2 * 1.7e+308" in captured.err
 
 
 def test_bench_file_flag_conflict(tmp_path, capsys):

@@ -128,13 +128,48 @@ def test_load_numeric_errors(tmp_path, capsys):
     odd = tmp_path / "odd.txt"
     for row in ("inf", "-inf", "nan"):
         odd.write_text(f"1\n{row}\n3\n")
-        with pytest.raises(ValueError, match=r"odd: values must be finite \(no NaN or inf\)"):
+        with pytest.raises(ValueError, match=r"odd\.txt: values must be finite \(no NaN or inf\)"):
             load_numeric(odd)
     odd.write_text("a,1\nb,inf\nc,3\n")
     with pytest.raises(ValueError, match="finite"):
         load_numeric(odd, column=2)
     assert main(["bench-file", "--input", str(odd), "--column", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_key_errors_name_the_path(tmp_path):
+    # two files of one name in different directories: the errors tell them apart
+    for load, body in ((load_numeric, "1\nnan\n"), (load_text, "smith\n")):
+        messages = set()
+        for directory in ("one", "two"):
+            path = tmp_path / directory / "odd.txt"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(body)
+            with pytest.raises(ValueError) as info:
+                load(path)
+            assert str(info.value).startswith(f"{path}: ")
+            messages.add(str(info.value))
+        assert len(messages) == 2
+
+
+def test_csv_errors_give_the_line(tmp_path):
+    path = tmp_path / "table.csv"
+    # a quoted field spans lines 1 and 2, so 'oops' is on line 4, record 3
+    path.write_text('"multi\nline",1\nx,2\ny,oops\n')
+    with pytest.raises(ValueError, match=r"table\.csv:4: not a number: 'oops'"):
+        load_numeric(path, column=2)
+
+
+def test_loaders_split_lines_alike(tmp_path):
+    # only "\n", "\r\n" and "\r" end a line; a form feed or U+2028 is part of it
+    layout = "{}\f\r{}\u2028\r\n{}\n{}\r"
+    nums, keys = tmp_path / "nums.txt", tmp_path / "keys.txt"
+    nums.write_bytes(layout.format(4, 2, 3, 1).encode())
+    keys.write_bytes(layout.format("d", "b", "c", "a").encode())
+    assert load_numeric(nums).list.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+    ds = load_text(keys)
+    assert ds.list.values.tolist() == [encode_base27(key) for key in "abcd"]
+    assert ds.dedup_count == 0
 
 
 def test_load_text_sorts_and_dedups(tmp_path):
@@ -199,6 +234,19 @@ def test_invalid_utf8_names_file_and_line(tmp_path, capsys):
     for argv in (["--text"], []):
         assert main(["bench-file", "--input", str(path), *argv]) == 1
         assert "bad.txt:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_invalid_utf8_line_counts_every_break(tmp_path):
+    path = tmp_path / "bad.txt"
+    # "\r" ends a line as "\n" and "\r\n" do, as in a parse error's line number
+    for data in (b"1\r2\r\xff3\r", b"1\r\n2\n\xff3\n", b"1\r2\r\n\xff"):
+        path.write_bytes(data)
+        for load in (load_text, load_numeric):
+            with pytest.raises(ValueError, match=r"bad\.txt:3: not UTF-8"):
+                load(path)
+    path.write_bytes(b"1\r2\rx3\r")
+    with pytest.raises(ValueError, match=r"bad\.txt:3: not a number: 'x3'"):
+        load_numeric(path)
 
 
 def test_byte_order_mark_is_dropped(tmp_path, capsys):

@@ -14,7 +14,6 @@ from itpsearch.distributions import (
     Step,
     Triangular,
     Uniform,
-    as_rng,
     fill_list,
     sample_list,
     sample_target,
@@ -152,11 +151,6 @@ def test_trial_streams_independent_of_order():
     assert not np.array_equal(direct, trial_rng(10, 5).random(4))
 
 
-def test_as_rng_passthrough():
-    gen = as_rng(1)
-    assert as_rng(gen) is gen
-
-
 def test_distinct_keys_in_practice():
     for spec in ALL_SPECS:
         v = sample_list(spec, 2000, seed=5).values
@@ -206,7 +200,7 @@ def test_gaussian_concentrates_near_its_mean():
 
 
 def test_sample_target_range_and_mean():
-    rng = as_rng(8)
+    rng = np.random.default_rng(8)
     draws = np.array([sample_target(0.25, 0.75, rng) for _ in range(100_000)])
     assert np.all((draws > 0.25) & (draws < 0.75))
     assert abs(draws.mean() - 0.5) < 0.01
