@@ -179,6 +179,7 @@ MUTANTS = [
         "            got += take\n",
         "            got += take\n            if got == out.size:\n                break\n",
     ),
+    Mutant("fill-compaction-skipped", DISTRIBUTIONS, "if not kept.all():", "if kept.all():"),
     Mutant("step-first-chunk-side", DISTRIBUTIONS, "side = left[start : start + CHUNK]", "side = left[: u.size]"),
     Mutant(
         "trial-stream-shifted", DISTRIBUTIONS,

@@ -80,7 +80,9 @@ def load_numeric(path, column: int | None = None) -> Dataset:
     with io.StringIO(_read_utf8(path), newline="") as fh:
         rows = fh if column is None else csv.reader(fh)
         for lineno, row in enumerate(rows, start=1):
-            if not row or (column is None and row.isspace()):
+            # a blank line is skipped in both modes; csv gives it as [] or ["  "]
+            line = row if column is None else ",".join(row)
+            if not line or line.isspace():
                 continue
             if column is not None:
                 lineno = rows.line_num  # a record's last line: a quoted field may span lines

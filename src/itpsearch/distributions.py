@@ -37,8 +37,10 @@ __all__ = [
 # Values per draw call.  Rejection batches and Step's two passes are drawn
 # this many at a time: numpy's normal, exponential and random take the bit
 # stream draw by draw, so split calls return the same floats as one call.
-# A fill's temporaries then take at most 24 bytes per CHUNK value, plus
-# Step's n-byte side mask, instead of 21-33 bytes per key.  In a sweep at
+# A fill's temporaries then take at most 25 bytes per CHUNK value (a chunk
+# of draws, its keep mask, and compress's int64 index and kept copy), plus
+# Step's n-byte side mask, instead of 21-33 bytes per key: traced at
+# n = 2e5, Exponential and Step fills peak at 0.32 and 0.60 MB.  In a sweep at
 # n = 2e5 (BENCH_25.json), 2**14 drew as fast as 2**15 and 2**16 (0.87-0.95x
 # the whole-array time) at half the peak of 2**15; 2**12 gained little
 # (0.96-1.01x).
@@ -50,14 +52,19 @@ def _fill_accepted(out: np.ndarray, draw, keep) -> None:
     remaining need, so the stream consumption is reproducible; each batch is
     drawn and filtered ``CHUNK`` values at a time, and drawn to its end even
     once ``out`` is full, so the stream ends where one whole-batch draw
-    would leave it."""
+    would leave it.  A chunk with a rejected draw is compacted with
+    ``compress``, whose time does not depend on the acceptance rate, unlike
+    a boolean-mask index, which branches on every draw; a chunk with none is
+    used as drawn."""
     got = 0
     while got < out.size:
         want = out.size - got
         batch = max(64, want + want // 2)
         for start in range(0, batch, CHUNK):
             chunk = draw(min(CHUNK, batch - start))
-            chunk = chunk[keep(chunk)]
+            kept = keep(chunk)
+            if not kept.all():
+                chunk = chunk.compress(kept)
             take = min(out.size - got, chunk.size)
             out[got : got + take] = chunk[:take]
             got += take

@@ -89,6 +89,14 @@ def test_load_numeric_blank_lines_and_floats(tmp_path):
     path.write_text("0.5\n\n  \n-1.25e2\n7\n")
     ds = load_numeric(path)
     assert ds.list.values.tolist() == [-125.0, 0.5, 7.0]
+    # CSV mode skips the same lines; a line with a delimiter is not blank
+    assert load_numeric(path, column=1).list.values.tolist() == [-125.0, 0.5, 7.0]
+    table = tmp_path / "ws.csv"
+    table.write_text("a,3\n \t\n\r\nb,1\n")
+    assert load_numeric(table, column=2).list.values.tolist() == [1.0, 3.0]
+    table.write_text("a,3\n , \nb,1\n")
+    with pytest.raises(ValueError, match=r"ws.csv:2: not a number: ''"):
+        load_numeric(table, column=2)
 
 
 def test_load_numeric_csv_column(tmp_path):

@@ -111,6 +111,43 @@ def test_default_chunk_fill_equals_whole_batch_fill(spec):
     assert _fill_bits(spec, n, 3, distributions.CHUNK) == _fill_bits(spec, n, 3, WHOLE)
 
 
+def _mask_filter_fill_accepted(out, draw, keep):
+    """The rejection fill as it was before compaction used compress: every
+    chunk, all kept or not, filtered by boolean-mask indexing."""
+    got = 0
+    while got < out.size:
+        want = out.size - got
+        batch = max(64, want + want // 2)
+        for start in range(0, batch, distributions.CHUNK):
+            chunk = draw(min(distributions.CHUNK, batch - start))
+            chunk = chunk[keep(chunk)]
+            take = min(out.size - got, chunk.size)
+            out[got : got + take] = chunk[:take]
+            got += take
+
+
+MID_TRIAL = 3  # master seed 21's Gaussian mean is 0.317 here: no draw is rejected
+
+
+@pytest.mark.parametrize(
+    "spec, n, trials",
+    [pytest.param(Exponential(rate=0.001), n, (0, 1), id=f"Exp0.001-{n}") for n in (2, 5)]
+    + [pytest.param(spec, n, (0, 1), id=f"{spec}-{n}")
+       for n in (17, 1000) for spec in (Exponential(), Exponential(rate=math.log(n)))]
+    + [pytest.param(Gaussian(), 1000, (MID_TRIAL, *EDGE_TRIALS), id="Gaussian-1000")],
+)  # fmt: skip
+def test_compress_fill_equals_mask_filter_fill(spec, n, trials):
+    # acceptance rates from 0.1% (whole chunks rejected) through 63% and the
+    # edge means' ~60% to 100% (chunks used as drawn): compress keeps the
+    # draws, their order and the stream position of the mask filter
+    assert 0.25 < trial_rng(21, MID_TRIAL).random() < 0.75
+    for trial in trials:
+        for chunk in (1, 7, 64, distributions.CHUNK):
+            with mock.patch.object(distributions, "_fill_accepted", _mask_filter_fill_accepted):
+                reference = _fill_bits(spec, n, trial, chunk)
+            assert _fill_bits(spec, n, trial, chunk) == reference, (trial, chunk)
+
+
 @pytest.mark.parametrize("spec", (Gaussian(), Exponential(), Step()), ids=lambda s: type(s).__name__)
 def test_fill_list_temporaries_fit_in_chunks(spec):
     # beyond its row a fill holds Step's n-byte side mask and a few chunks,
