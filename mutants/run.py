@@ -164,6 +164,9 @@ MUTANTS = [
         "configs[ci].cap, ai, bi, qi, vai, vbi, []",
         "configs[ci].cap, ai, bi, j, vai, vbi, []",
     ),
+    # the on-demand key source of run_trials' scalar-finished blocks
+    Mutant("order-statistic-offset", SEARCH, "segment.partition(k - lo - 1)", "segment.partition(k - lo)"),
+    Mutant("order-statistic-fallback-unsorted", SEARCH, "self._row.sort()", "pass"),
     # the oracles
     Mutant(
         "minimax-drop-last-split", ORACLE,

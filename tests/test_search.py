@@ -406,6 +406,42 @@ def test_binary_tie_rule_floors_midpoint():
     assert out.trace[0] == 2
 
 
+def _unsorted_rows():
+    """Rows with their smallest and largest keys at the ends and the interior
+    in draw order: distinct keys, heavy ties, and an all-equal interior."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 17, 1000):
+        interiors = {
+            "distinct": rng.random(n - 1),
+            "ties": rng.choice([0.0, 0.25, 0.5, 1.0], n - 1),
+            "equal": np.full(n - 1, 0.5),
+        }
+        for name, interior in interiors.items():
+            yield pytest.param(np.concatenate(([0.0], interior, [1.0])), id=f"{name}-{n}")
+
+
+@pytest.mark.parametrize("row", _unsorted_rows())
+def test_order_statistics_read_as_sorted(row):
+    n = row.size - 1
+    expected = np.sort(row)
+    rng = np.random.default_rng(n)
+    orders = {
+        "permutation": rng.permutation(n + 1),
+        "repeats": rng.integers(0, n + 1, 3 * (n + 1)),
+        # each read partitions all but the keys above it: past 4 n partitioned
+        # keys the row is sorted, and the later reads read it directly
+        "creeping": np.arange(n, -1, -1),
+    }
+    for name, order in orders.items():
+        keys = row.copy()
+        source = search_module._OrderStatistics(keys)
+        for k in order.tolist():
+            assert source.item(k) == expected[k], (name, k)
+        assert np.array_equal(np.sort(keys), expected)  # reordered, never changed
+        if name == "creeping" and n >= 17:
+            assert np.array_equal(keys, expected), "the fallback sorts the row"
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
