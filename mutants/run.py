@@ -164,7 +164,19 @@ MUTANTS = [
         "configs[ci].cap, ai, bi, qi, vai, vbi, []",
         "configs[ci].cap, ai, bi, j, vai, vbi, []",
     ),
-    # the on-demand key source of run_trials' scalar-finished blocks
+    # search_block's drawn rows: sorted for the lockstep loop, or read on
+    # demand, through _OrderStatistics, when the scalar loop finishes every lane
+    Mutant("block-drawn-rows-unsorted", SEARCH, "block[:, 1:-1].sort(axis=1)", "pass"),
+    Mutant(
+        "block-sorted-rows-on-demand", SEARCH,
+        "on_demand = drawn and len(configs) * searched.size <= SCALAR_FINISH",
+        "on_demand = len(configs) * searched.size <= SCALAR_FINISH",
+    ),
+    Mutant(
+        "block-on-demand-boundary", SEARCH,
+        "on_demand = drawn and len(configs) * searched.size <= SCALAR_FINISH",
+        "on_demand = drawn and len(configs) * searched.size < SCALAR_FINISH",
+    ),
     Mutant("order-statistic-offset", SEARCH, "segment.partition(k - lo - 1)", "segment.partition(k - lo)"),
     Mutant("order-statistic-fallback-unsorted", SEARCH, "self._row.sort()", "pass"),
     # the oracles
@@ -176,7 +188,7 @@ MUTANTS = [
     Mutant("worst-depth-leaf-one", ORACLE, "    return j\n", "    return j + 1\n"),
     # distributions and the trial runner
     Mutant("sample-target-closed-lo", DISTRIBUTIONS, "if lo < z < hi:", "if lo <= z < hi:"),
-    Mutant("fill-list-unsorted", DISTRIBUTIONS, "values[1:-1].sort()", "pass"),
+    Mutant("sample-list-unsorted", DISTRIBUTIONS, "values[1:-1].sort()", "pass"),
     Mutant(
         "fill-stops-at-full", DISTRIBUTIONS,
         "            got += take\n",

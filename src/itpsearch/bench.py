@@ -14,19 +14,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .datasets import Dataset
-from .distributions import DistributionSpec, Uniform, _draw_list, fill_list, sample_target, trial_rng
-from .search import (
-    DEFAULT_CAP,
-    SCALAR_FINISH,
-    SearchConfig,
-    SortedList,
-    Strategy,
-    Strict,
-    _descend,
-    _OrderStatistics,
-    make_probe_fn,
-    search_block,
-)
+from .distributions import DistributionSpec, Uniform, fill_list, sample_target, trial_rng
+from .search import DEFAULT_CAP, SearchConfig, SortedList, Strategy, Strict, search_block
 
 __all__ = [
     "TrialStats",
@@ -88,15 +77,12 @@ def run_trials(
 
     Distribution sources draw a fresh list and target each trial; dataset
     and plain-list sources keep the list fixed and draw only the target.
-    Every strategy's searches run in lockstep lanes through ``search_block``,
-    whose outcomes equal ``search``'s: a fixed list is one row carrying every
-    trial's target, and distribution lists are drawn into blocks of
-    ``BLOCK_BYTES``, one row and one target per trial.  A block of no more
-    than ``SCALAR_FINISH`` lanes (configs times rows), which ``search_block``
-    would search wholly in its scalar loop, is not sorted: each row is
-    searched by that loop through ``_OrderStatistics``, which reads the key
-    a sort would put at each probed index, so the outcomes are the same.
-    Capped runs count at the cap value and increment cap_hits.
+    Every search runs through one ``search_block`` call, whose outcomes
+    equal ``search``'s: a fixed list is one row carrying every trial's
+    target, and distribution lists are drawn unsorted into blocks of
+    ``BLOCK_BYTES``, one row and one target per trial, which
+    ``search_block`` takes as drawn rows (it sorts them or reads them on
+    demand).  Capped runs count at the cap value and increment cap_hits.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -125,29 +111,15 @@ def run_trials(
         capped = np.empty((len(configs), trials), dtype=bool)
         for first in range(0, trials, block_rows):
             chunk = range(first, min(first + block_rows, trials))
-            # search_block would finish every lane of this block in the scalar
-            # loop, which reads a few dozen keys a search: leave the rows
-            # unsorted and read their order statistics on demand
-            on_demand = len(configs) * len(chunk) <= SCALAR_FINISH
             for r, t in enumerate(chunk):
                 rng = trial_rng(master_seed, t)
-                (_draw_list if on_demand else fill_list)(source, block[r], rng)
+                fill_list(source, block[r], rng)
                 zs[r, 0] = sample_target(float(block[r, 0]), float(block[r, n]), rng)
-            if on_demand:
-                # every target lies strictly inside the pinned ends 0 and 1
-                probes = [make_probe_fn(config, n) for config in configs]
-                for r, t in enumerate(chunk):
-                    keys, z = _OrderStatistics(block[r]), zs.item(r, 0)
-                    for c, config in enumerate(configs):
-                        _, queries[c, t], capped[c, t] = _descend(
-                            keys, z, probes[c], config.cap, 0, n, 0, 0.0, 1.0, []
-                        )
-            else:
-                _, chunk_queries, chunk_capped = search_block(
-                    block[: len(chunk)], zs[: len(chunk)], configs
-                )
-                queries[:, first : chunk.stop] = chunk_queries[:, :, 0]
-                capped[:, first : chunk.stop] = chunk_capped[:, :, 0]
+            _, chunk_queries, chunk_capped = search_block(
+                block[: len(chunk)], zs[: len(chunk)], configs, drawn=True
+            )
+            queries[:, first : chunk.stop] = chunk_queries[:, :, 0]
+            capped[:, first : chunk.stop] = chunk_capped[:, :, 0]
     # exact on integer counts below 2**53; tolist gives Python ints and floats
     means = (queries.sum(axis=1) / trials).tolist()
     ranked = np.sort(queries, axis=1)

@@ -1,9 +1,11 @@
 """Seeded generators for benchmark lists and targets.
 
 Lists are built the same way throughout: endpoints pinned at 0 and 1 with
-n - 1 interior keys drawn i.i.d. from the chosen distribution and sorted.
-Draws that would leave [0, 1] are rejected and redrawn (never clamped, which
-would pile duplicates onto the endpoints).
+n - 1 interior keys drawn i.i.d. from the chosen distribution.  ``fill_list``
+draws a list in draw order; ``sample_list`` sorts it, and ``search_block``
+takes such drawn rows as they are, sorting them or reading their order
+statistics on demand.  Draws that would leave [0, 1] are rejected and
+redrawn (never clamped, which would pile duplicates onto the endpoints).
 
 Reproducibility contract: the generator is numpy's PCG64.  A master seed
 plus trial index derives an independent child stream via
@@ -159,28 +161,22 @@ def sample_list(spec: DistributionSpec, n: int, seed) -> SortedList:
     """Draw a benchmark list of n + 1 keys: 0, n - 1 sorted interior draws, 1.
 
     ``seed`` is an integer or an already-positioned Generator (a trial
-    stream); an integer gets its own fresh stream.
+    stream); an integer gets its own fresh stream.  The list is
+    ``fill_list``'s draw with its interior sorted; the sort draws nothing.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values = np.empty(n + 1)
     fill_list(spec, values, np.random.default_rng(seed))
+    values[1:-1].sort()
     return SortedList(values)
 
 
 def fill_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generator) -> None:
     """Draw a benchmark list into ``values`` (n + 1 >= 2 slots) from ``rng``:
-    the ends pinned at 0 and 1, the interior drawn and then sorted in place.
-    The sort draws nothing, so ``_draw_list`` alone leaves ``rng`` where this
-    does."""
-    _draw_list(spec, values, rng)
-    values[1:-1].sort()
-
-
-def _draw_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generator) -> None:
-    """``fill_list`` without the sort: the ends pinned at 0 and 1 and the
-    interior in draw order, for a caller that reads only a few order
-    statistics."""
+    the ends pinned at 0 and 1, the interior in draw order, not sorted.  The
+    ends are then the row's smallest and largest keys, as ``search_block``'s
+    drawn rows need."""
     values[0] = 0.0
     values[-1] = 1.0
     spec.fill(values[1:-1], rng)

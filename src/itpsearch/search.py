@@ -16,7 +16,9 @@ both drive it.  Where the minmax radius is 0, projection puts any point on
 the midpoint, so the itp rule returns the midpoint without interpolating.
 ``search_block`` searches lanes of (list, target, config) in lockstep with
 numpy, and ``search_many`` is its one-list, one-config case; its docstring
-says how one array formula gives every rule's probes.
+says how one array formula gives every rule's probes.  It also takes drawn
+rows, whose interiors are unsorted: it sorts them, or, when its scalar loop
+finishes every lane, reads each row's order statistics on demand.
 Endpoint values are cached with the bracket, so a search is charged one
 query per interior probe only.
 """
@@ -379,8 +381,9 @@ def _descend(v, z, probe, cap, a, b, j, va, vb, trace):
     Returns ``(k_star, queries, capped)``.  ``search`` runs it from the start,
     and ``search_block`` runs it to finish the lanes its lockstep loop leaves.
     ``v`` is a float64 array, so ``v.item(k)`` is the Python float
-    ``float(v[k])``, read without making a numpy scalar, or an
-    ``_OrderStatistics`` over an unsorted row, which reads the same floats.
+    ``float(v[k])``, read without making a numpy scalar, or, for
+    ``search_block``'s drawn rows, an ``_OrderStatistics`` over an unsorted
+    row, which reads the floats a sort would put there.
     """
     key = v.item
     append = trace.append
@@ -403,7 +406,9 @@ def _descend(v, z, probe, cap, a, b, j, va, vb, trace):
 class _OrderStatistics:
     """A key source for ``_descend`` over an unsorted row whose two ends hold
     its smallest and largest keys: ``item(k)`` is the row's k-th order
-    statistic, the value ``np.sort`` would put at k.
+    statistic, the value ``np.sort`` would put at k.  ``search_block`` reads
+    its drawn rows through one of these per row, shared by the row's lanes,
+    when its scalar loop finishes every lane.
 
     A search reads a few dozen keys of a row, so sorting all of it is mostly
     wasted.  The ends count as resolved from the start.  A read of an
@@ -471,7 +476,8 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
 
 
 # search_block's lockstep loop stops once this few lanes are open, and the
-# scalar loop finishes them; a block of no more lanes never enters the loop.
+# scalar loop finishes them; a block of no more lanes never enters the loop,
+# and its drawn rows are read on demand, not sorted.
 # With 48 lanes on 2e5 uniform keys, one lockstep iteration costs 47-81 us for
 # binary, 56-102 us for interpolation and 65-104 us for ITP, the call's set-up
 # shared in, against 0.4-0.8 us a scalar probe for binary, 1.2-2.3 us for
@@ -507,7 +513,7 @@ def search_many(lst: SortedList, zs, config: SearchConfig):
     return k_star[0, 0], queries[0, 0], capped[0, 0]
 
 
-def search_block(block, zs, configs: Sequence[SearchConfig]):
+def search_block(block, zs, configs: Sequence[SearchConfig], *, drawn: bool = False):
     """``search`` for every (config, row, target) lane at once, without traces.
 
     ``block`` is an ``(R, n + 1)`` array whose rows are sorted key lists, and
@@ -519,6 +525,16 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
     must hold what a ``SortedList`` holds, finite non-decreasing keys within
     its magnitude bound, and a row with a NaN, out of order or beyond the
     bound is searched without a word.
+
+    With ``drawn=True`` the rows are drawn, not sorted: each row's two ends
+    hold its smallest and largest keys and its interior may be in any order,
+    and the outcomes are those of the sorted rows.  The rows may be reordered
+    in place.  When the scalar loop would finish every lane (no more than
+    ``SCALAR_FINISH`` lanes searched), each row is read through one
+    ``_OrderStatistics``, shared by its lanes, which partitions only what the
+    searches read; otherwise the interiors are sorted in place first.  Rows
+    that are already sorted, such as a ``SortedList``'s, need the default,
+    which never reorders them.
 
     Each config gives its lanes one row (kappa1, kappa2, n_ref): an ITP
     config its kappas and radius anchor ``variant.n_ref(n)`` (NaN for
@@ -573,6 +589,10 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
         return k_star, queries, capped
 
     searched = np.flatnonzero(zs != v0)  # z == values[0] costs no query
+    # drawn rows stay unsorted when the scalar loop finishes every lane
+    on_demand = drawn and len(configs) * searched.size <= SCALAR_FINISH
+    if drawn and not on_demand:
+        block[:, 1:-1].sort(axis=1)
     # Lane i searches z[i] with configs[c[i]] on the keys flat[base[i] :
     # base[i] + n + 1] and writes its outcome at index lane[i] of the flattened
     # outputs, which is its (config, row, target).  The brackets a and b are
@@ -601,69 +621,72 @@ def search_block(block, zs, configs: Sequence[SearchConfig]):
         first_cap = min(config.cap for config in configs)
         live = np.ones(lane.size, dtype=bool)
         delta = b - a
-    # a huge kappa1 overflows the step to inf, as it does in truncate, and an
-    # interpolation lane with sigma 0 projects to x_half - 0 * inf, a NaN that
-    # the projection discards (its x_t is x_half, inside the unbounded radius)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while live_count > SCALAR_FINISH and j < first_cap:
-            x_half = (a + b) / 2
-            # interpolation_point
-            d = va - vb
-            x_f = (b * (va - z) - a * (vb - z)) / d
-            x_f = np.minimum(np.maximum(x_f, a), b)
-            # truncate, each operation the scalar rule's IEEE operation (np.power
-            # differs from C pow in the last bit for about 5% of deltas); by the
-            # proof at truncate, a step within |gap| does not pass x_half
-            gap = x_half - x_f
-            sigma = np.sign(gap)
-            step = kappa1s[c] * np.float_power(delta, kappa2s[c])
-            x_t = x_f + sigma * step
-            np.putmask(x_t, ~(step <= np.abs(gap)), x_half)
-            # minmax_radius, from each lane's half-width 2 ** (n_ref - j - 1)
-            width = np.float_power(2.0, anchors - j - 1)[c]
-            if local:  # Local: 2 ** (bit_length(delta - 1) - 1), on NaN widths
-                unset = np.isnan(width)
-                width[unset] = np.ldexp(1.0, np.frexp(delta[unset] - 1)[1] - 1)
-            r = np.maximum(width - delta / 2, 0.0)
-            # project
-            np.putmask(x_t, np.abs(x_t - x_half) > r, x_half - sigma * r)
-            # round_toward_midpoint, then into (a, b)
-            f = np.floor(x_t)
-            k = f + ((f != x_t) & (x_t < x_half))
-            k = np.minimum(np.maximum(k, a + 1), b - 1)
-            v_k = flat[base + k.astype(np.int64)]
-            above = v_k > z
-            below = v_k < z
-            # the bracket arrays are this loop's own copies: update them in place
-            # (a takes k where v_k < z, and on an exact hit)
-            np.putmask(b, above, k)
-            np.putmask(vb, above, v_k)
-            np.putmask(a, below, k)
-            np.putmask(va, below, v_k)
-            hit = v_k == z
-            if hit.any():  # exact hit: the cell (k, k+1)
-                np.putmask(a, hit, k)
-                np.putmask(b, hit, k + 1)
-            q += live
-            j += 1
-            delta = b - a
-            live = delta > 1
-            live_count = np.count_nonzero(live)
-            if lane.size - live_count >= COMPACT * lane.size:  # drop the closed lanes
-                stop = ~live
-                done = lane[stop]
-                k_out[done] = a[stop]
-                q_out[done] = q[stop]
-                lane, c, base, z, q = lane[live], c[live], base[live], z[live], q[live]
-                a, b, va, vb, delta = a[live], b[live], va[live], vb[live], delta[live]
-                live = live[live]
+        # a huge kappa1 overflows the step to inf, as it does in truncate, and an
+        # interpolation lane with sigma 0 projects to x_half - 0 * inf, a NaN that
+        # the projection discards (its x_t is x_half, inside the unbounded radius)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while live_count > SCALAR_FINISH and j < first_cap:
+                x_half = (a + b) / 2
+                # interpolation_point
+                d = va - vb
+                x_f = (b * (va - z) - a * (vb - z)) / d
+                x_f = np.minimum(np.maximum(x_f, a), b)
+                # truncate, each operation the scalar rule's IEEE operation (np.power
+                # differs from C pow in the last bit for about 5% of deltas); by the
+                # proof at truncate, a step within |gap| does not pass x_half
+                gap = x_half - x_f
+                sigma = np.sign(gap)
+                step = kappa1s[c] * np.float_power(delta, kappa2s[c])
+                x_t = x_f + sigma * step
+                np.putmask(x_t, ~(step <= np.abs(gap)), x_half)
+                # minmax_radius, from each lane's half-width 2 ** (n_ref - j - 1)
+                width = np.float_power(2.0, anchors - j - 1)[c]
+                if local:  # Local: 2 ** (bit_length(delta - 1) - 1), on NaN widths
+                    unset = np.isnan(width)
+                    width[unset] = np.ldexp(1.0, np.frexp(delta[unset] - 1)[1] - 1)
+                r = np.maximum(width - delta / 2, 0.0)
+                # project
+                np.putmask(x_t, np.abs(x_t - x_half) > r, x_half - sigma * r)
+                # round_toward_midpoint, then into (a, b)
+                f = np.floor(x_t)
+                k = f + ((f != x_t) & (x_t < x_half))
+                k = np.minimum(np.maximum(k, a + 1), b - 1)
+                v_k = flat[base + k.astype(np.int64)]
+                above = v_k > z
+                below = v_k < z
+                # the bracket arrays are this loop's own copies: update them in place
+                # (a takes k where v_k < z, and on an exact hit)
+                np.putmask(b, above, k)
+                np.putmask(vb, above, v_k)
+                np.putmask(a, below, k)
+                np.putmask(va, below, v_k)
+                hit = v_k == z
+                if hit.any():  # exact hit: the cell (k, k+1)
+                    np.putmask(a, hit, k)
+                    np.putmask(b, hit, k + 1)
+                q += live
+                j += 1
+                delta = b - a
+                live = delta > 1
+                live_count = np.count_nonzero(live)
+                if lane.size - live_count >= COMPACT * lane.size:  # drop the closed lanes
+                    stop = ~live
+                    done = lane[stop]
+                    k_out[done] = a[stop]
+                    q_out[done] = q[stop]
+                    lane, c, base, z, q = lane[live], c[live], base[live], z[live], q[live]
+                    a, b, va, vb, delta = a[live], b[live], va[live], vb[live], delta[live]
+                    live = live[live]
     probes = {ci: make_probe_fn(configs[ci], n) for ci in set(c.tolist())}
+    # each row's keys, shared by its lanes: read on demand, or the row itself
+    source = _OrderStatistics if on_demand else np.asarray
+    rows_at = {start: source(flat[start : start + size]) for start in set(base.tolist())}
     lanes = zip(
         lane.tolist(), c.tolist(), base.tolist(), z.tolist(), q.tolist(),
         a.astype(np.int64).tolist(), b.astype(np.int64).tolist(), va.tolist(), vb.tolist(),
     )  # fmt: skip
     for i, ci, start, zi, qi, ai, bi, vai, vbi in lanes:
         k_out[i], q_out[i], capped_out[i] = _descend(
-            flat[start : start + n + 1], zi, probes[ci], configs[ci].cap, ai, bi, qi, vai, vbi, []
+            rows_at[start], zi, probes[ci], configs[ci].cap, ai, bi, qi, vai, vbi, []
         )
     return k_star, queries, capped

@@ -1,6 +1,7 @@
 """Benchmark harness: fairness, determinism, aggregation, CSV output."""
 
 import hashlib
+import importlib
 import io
 import math
 from pathlib import Path
@@ -38,7 +39,11 @@ from itpsearch.search import (
     Strict,
     minmax_bound,
     search,
+    search_many,
 )
+
+# the module, not the function the package re-exports under the same name
+search_module = importlib.import_module("itpsearch.search")
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -336,12 +341,25 @@ def test_sampled_rows_equal_scalar_reference_at_paper_scale(spec, cap):
 
 
 def test_only_scalar_finished_blocks_read_order_statistics():
-    with mock.patch.object(bench, "_OrderStatistics", wraps=bench._OrderStatistics) as made:
+    with mock.patch.object(
+        search_module, "_OrderStatistics", wraps=search_module._OrderStatistics
+    ) as made:
         run_trials(Uniform(), _perfbench_configs(1000), 2, 1, n=200_000)  # 2 rows x 4 configs
         assert made.call_count == 2
         made.reset_mock()
         sweep_kappa(TABLE1_KAPPA1, TABLE1_KAPPA2, 200_000, 3, 1)  # 3 rows x 80 configs
         assert made.call_count == 0
+
+
+def test_sorted_rows_are_never_reordered():
+    # a SortedList's keys are read as they are, even where search_block's
+    # scalar loop finishes every lane: only drawn rows are reordered
+    lst = sample_list(Uniform(), 200_000, 3)
+    before = lst.values.tobytes()
+    search_many(lst, [0.25, 0.5, 0.75], SearchConfig.itp())
+    assert lst.values.tobytes() == before
+    run_trials(lst, _perfbench_configs(1000), 12, 1)  # 4 configs x 12 targets: 48 lanes
+    assert lst.values.tobytes() == before
 
 
 # sha256 of _golden_csv(), pinned with numpy 2.4.6 (PCG64 streams and the

@@ -442,6 +442,62 @@ def test_order_statistics_read_as_sorted(row):
             assert np.array_equal(keys, expected), "the fallback sorts the row"
 
 
+def _drawn_block(n, ties, rng):
+    """Three drawn rows of n + 1 keys: 0 and 1 at the ends and the interior
+    in draw order, with distinct keys or heavy ties; and four targets a row:
+    its smallest key, one of its keys, a float inside and its largest key."""
+    shape = (3, n - 1)
+    interior = rng.choice([0.0, 0.25, 0.5, 1.0], shape) if ties else rng.random(shape)
+    block = np.hstack((np.zeros((3, 1)), interior, np.ones((3, 1))))
+    picks = block[np.arange(3), rng.integers(0, n + 1, 3)]
+    zs = np.column_stack((block[:, 0], picks, rng.random(3), block[:, -1]))
+    return block, zs
+
+
+@pytest.mark.parametrize("cap", [2, DEFAULT_CAP])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("n", [1, 2, 17, 1000])
+def test_drawn_rows_search_as_sorted(n, ties, cap):
+    block, zs = _drawn_block(n, ties, np.random.default_rng(n))
+    configs = [
+        SearchConfig.binary(cap=cap),
+        SearchConfig.interpolation(cap=cap),
+        SearchConfig.itp(Strict(), cap=cap),
+        SearchConfig.itp(Relaxed(), cap=cap),
+        SearchConfig.itp(Local(), cap=cap),
+    ]
+    ordered = np.sort(block, axis=1)  # the ends are each row's smallest and largest keys
+    want = [f.tolist() for f in search_block(ordered, zs, configs)]
+    lanes = len(configs) * np.count_nonzero(zs != block[:, :1])
+    # every lane to the lockstep loop, then every lane to the scalar loop
+    for finish in (0, lanes):
+        drawn = block.copy()
+        with mock.patch.object(search_module, "SCALAR_FINISH", finish):
+            assert [f.tolist() for f in search_block(drawn, zs, configs, drawn=True)] == want
+        assert np.array_equal(np.sort(drawn, axis=1), ordered), "the same keys, reordered"
+        if finish == 0:
+            assert np.array_equal(drawn, ordered), "a lockstep call sorts the rows"
+
+
+@pytest.mark.parametrize("rows, config_count, made", [(12, 4, 12), (7, 7, 0)])
+def test_drawn_rows_read_on_demand_up_to_scalar_finish(rows, config_count, made):
+    # 12 x 4 = 48 lanes are all finished by the scalar loop, one key source a
+    # row shared by its configs; 7 x 7 = 49 lanes enter the lockstep loop
+    assert search_module.SCALAR_FINISH == 48
+    rng = np.random.default_rng(rows)
+    block = np.hstack((np.zeros((rows, 1)), rng.random((rows, 999)), np.ones((rows, 1))))
+    zs = rng.random((rows, 1))
+    configs = [SearchConfig.itp(Strict(), kappa1=0.1 * (i + 1)) for i in range(config_count)]
+    want = search_block(np.sort(block, axis=1), zs, configs)
+    wrapped = mock.patch.object(
+        search_module, "_OrderStatistics", wraps=search_module._OrderStatistics
+    )
+    with wrapped as source:
+        got = search_block(block, zs, configs, drawn=True)
+    assert source.call_count == made
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
