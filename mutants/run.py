@@ -201,6 +201,10 @@ MUTANTS = [
         "ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))",
         "ss = np.random.SeedSequence(master_seed, spawn_key=(trial_index + 1,))",
     ),
+    Mutant(
+        "block-doubled-at-scalar-finish", BENCH,
+        "if len(configs) * block_rows > SCALAR_FINISH:", "if len(configs) * block_rows >= SCALAR_FINISH:",
+    ),
     Mutant("cap-hits-dropped", BENCH, "cap_hits = capped.sum(axis=1).tolist()", "cap_hits = [0] * len(configs)"),
     # the key codec, the loaders' line rule and names, and their dedupe
     Mutant("codec-never-lowered", KEYCODEC, "text = text.lower()", "pass", LOADING_TESTS),

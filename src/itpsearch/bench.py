@@ -15,7 +15,15 @@ import numpy as np
 
 from .datasets import Dataset
 from .distributions import DistributionSpec, Uniform, fill_list, sample_target, trial_rng
-from .search import DEFAULT_CAP, SearchConfig, SortedList, Strategy, Strict, search_block
+from .search import (
+    DEFAULT_CAP,
+    SCALAR_FINISH,
+    SearchConfig,
+    SortedList,
+    Strategy,
+    Strict,
+    search_block,
+)
 
 __all__ = [
     "TrialStats",
@@ -36,6 +44,14 @@ Source = Union[DistributionSpec, Dataset, SortedList]
 
 # Distribution trials are drawn into a key block of at most this many bytes
 # (at least one list): 3 lists of 2e5 keys, hundreds of lists up to 1e4 keys.
+# A block of more than SCALAR_FINISH lanes (configs x lists), which
+# search_block sorts and searches in its lockstep loop, may take twice this:
+# the loop's cost is in its numpy calls more than in its lanes, so the
+# 80-config kappa sweep at n = 2e5 runs one loop over 6 lists, not two over 3.
+# In perfbench mc-kappa (6 trials a unit) that took a unit from 13.0 to 11.95
+# ms, and peak RSS from 48.8 to 53.5 MB (+9.5%, the 4.8 MB of three more
+# lists; BENCH_32.json).  A block read on demand keeps its size, so no run
+# moves from one path to the other.
 BLOCK_BYTES = 5 << 20
 
 
@@ -82,7 +98,9 @@ def run_trials(
     target, and distribution lists are drawn unsorted into blocks of
     ``BLOCK_BYTES``, one row and one target per trial, which
     ``search_block`` takes as drawn rows (it sorts them or reads them on
-    demand).  Capped runs count at the cap value and increment cap_hits.
+    demand); a block it will sort, of more than ``SCALAR_FINISH`` lanes,
+    holds twice the lists.  Capped runs count at the cap value and increment
+    cap_hits.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -105,6 +123,8 @@ def run_trials(
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         block_rows = min(trials, max(1, BLOCK_BYTES // (8 * (n + 1))))
+        if len(configs) * block_rows > SCALAR_FINISH:  # sorted: the lockstep loop runs
+            block_rows = min(trials, max(1, 2 * BLOCK_BYTES // (8 * (n + 1))))
         block = np.empty((block_rows, n + 1))
         zs = np.empty((block_rows, 1))
         queries = np.empty((len(configs), trials), dtype=np.int64)

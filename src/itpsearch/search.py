@@ -487,14 +487,20 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
 # interleaved rounds, on 200-target four-rule searches of 2e5 text keys and on
 # 80-config ITP-Strict blocks of three 2e5-key lists: against 48, 32 took
 # 1.022 and 0.994 of the time, 64 took 0.997 and 1.048, and 96 took 0.996 and
-# 1.161, so 48 stays.
+# 1.161, so 48 stays.  On the six-list blocks such a sweep now runs (bench's
+# BLOCK_BYTES), in 10 interleaved rounds on an idle CPU, 24 took 0.988 of the
+# time (faster in 6 rounds), 32 0.976 (8), 64 1.031 (2) and 96 1.111 (1); on a
+# loaded one 32 took 0.980 (6).  No value won 9 of 10, so 48 still stays.
 SCALAR_FINISH = 48
 
 # search_block drops its closed lanes from the lane arrays once this share of
 # them has closed; until then a closed lane rides along as a fixed point of
 # the step.  On the same two blocks, in two runs, against 1/4, compacting at
 # 1/8 took 1.012-1.015 and 1.035-1.039 of the time, at 3/8 0.986-0.987 and
-# 0.980-0.981, and at 1/2 0.995-0.997 and 0.975-0.978.
+# 0.980-0.981, and at 1/2 0.995-0.997 and 0.975-0.978.  On six-list kappa
+# blocks, against 3/8 in 10 interleaved rounds, 1/4 took 1.025 (faster in 4
+# rounds) and 1/2 0.972 (8), and on a loaded CPU 1.019 (1) and 0.990 (7):
+# neither won 9 of 10, so 3/8 stays.
 COMPACT = 0.375
 
 

@@ -313,9 +313,11 @@ SAMPLED_CASES = [
 @pytest.mark.parametrize("rows", [1, 2, 7])
 @pytest.mark.parametrize("spec, n", SAMPLED_CASES)
 def test_sampled_rows_equal_scalar_reference(spec, n, rows):
-    # blocks of `rows` lists; 5 and 23 trials leave a short last block
+    # blocks of `rows` lists; at 7, whose 56 lanes pass SCALAR_FINISH, sorted
+    # blocks hold 14, so 16 trials end in 2 lists read on demand and 23 in 9
+    # sorted ones, while 5 trials are one block of 5 read on demand
     with mock.patch.object(bench, "BLOCK_BYTES", rows * 8 * (n + 1)):
-        for trials in (5, 23):
+        for trials in (5, 16, 23):
             got = run_trials(spec, SAMPLED_CONFIGS, trials, 13, n=n)
             assert _stats(got) == _scalar_sampled_stats(spec, n, SAMPLED_CONFIGS, trials, 13)
 
@@ -349,6 +351,48 @@ def test_only_scalar_finished_blocks_read_order_statistics():
         made.reset_mock()
         sweep_kappa(TABLE1_KAPPA1, TABLE1_KAPPA2, 200_000, 3, 1)  # 3 rows x 80 configs
         assert made.call_count == 0
+
+
+def _block_rows(calls):
+    """The list count of each search_block call that a mock wraps."""
+    return [call.args[0].shape[0] for call in calls.call_args_list]
+
+
+def test_lockstep_blocks_hold_twice_the_lists():
+    # room for 3 lists, whose 240 lanes run the lockstep loop: blocks of 6
+    n = 1000
+    with mock.patch.object(bench, "BLOCK_BYTES", 3 * 8 * (n + 1)), mock.patch.object(
+        bench, "search_block", wraps=bench.search_block
+    ) as calls:
+        got = sweep_kappa(TABLE1_KAPPA1, TABLE1_KAPPA2, n, 7, 13)
+    assert _block_rows(calls) == [6, 1]
+    configs = [
+        SearchConfig.itp(Strict(), kappa1=k1, kappa2=k2) for k2 in TABLE1_KAPPA2 for k1 in TABLE1_KAPPA1
+    ]
+    assert _stats(got) == _scalar_sampled_stats(Uniform(), n, configs, 7, 13)
+
+
+@pytest.mark.parametrize(
+    "configs, lists, lanes_past, blocks, made",
+    [
+        (_perfbench_configs(1000), 12, 0, [12, 12], 24),  # each row read on demand
+        (SAMPLED_CONFIGS[:7], 7, 1, [14], 0),  # twice the lists, sorted
+    ],
+    ids=["at-scalar-finish", "one-lane-more"],
+)
+def test_only_sorted_blocks_hold_twice_the_lists(configs, lists, lanes_past, blocks, made):
+    # `lists` fit in BLOCK_BYTES, giving SCALAR_FINISH + lanes_past lanes
+    assert len(configs) * lists == search_module.SCALAR_FINISH + lanes_past
+    n, trials = 1000, sum(blocks)
+    with mock.patch.object(bench, "BLOCK_BYTES", lists * 8 * (n + 1)), mock.patch.object(
+        bench, "search_block", wraps=bench.search_block
+    ) as calls, mock.patch.object(
+        search_module, "_OrderStatistics", wraps=search_module._OrderStatistics
+    ) as order_statistics:
+        got = run_trials(Uniform(), configs, trials, 5, n=n)
+    assert _block_rows(calls) == blocks
+    assert order_statistics.call_count == made
+    assert _stats(got) == _scalar_sampled_stats(Uniform(), n, configs, trials, 5)
 
 
 def test_sorted_rows_are_never_reordered():
