@@ -77,6 +77,17 @@ MUTANTS = [
         "if (arr.size - 1) * max(-lo, hi) >= 2.0**1021:",
     ),
     Mutant("sorted-list-no-2to53-scan", SEARCH, "if max(-lo, hi) >= 2.0**53 and arr is not values:", "if False:"),
+    Mutant("sorted-list-values-writable", SEARCH, "self.values.flags.writeable = False", "pass"),
+    # a number beyond float64's range: an infinity, or numpy's OverflowError
+    Mutant(
+        "huge-integer-overflows", SEARCH,
+        "        return np.asarray(values, dtype=np.float64)\n    except OverflowError:",
+        "        return np.asarray(values, dtype=np.float64)\n    except ZeroDivisionError:",
+    ),
+    Mutant(
+        "huge-integer-as-max-float", SEARCH,
+        "return math.inf if x > 0 else -math.inf", "return 1.7e308 if x > 0 else -1.7e308",
+    ),
     Mutant("config-no-strategy-check", SEARCH, "if not isinstance(self.strategy, Strategy):", "if False:"),
     Mutant("config-no-variant-check", SEARCH, "if not isinstance(self.variant, Variant):", "if False:"),
     # the scalar rules and loop
@@ -164,18 +175,23 @@ MUTANTS = [
         "configs[ci].cap, ai, bi, qi, vai, vbi, []",
         "configs[ci].cap, ai, bi, j, vai, vbi, []",
     ),
-    # search_block's drawn rows: sorted for the lockstep loop, or read on
-    # demand, through _OrderStatistics, when the scalar loop finishes every lane
-    Mutant("block-drawn-rows-unsorted", SEARCH, "block[:, 1:-1].sort(axis=1)", "pass"),
+    # search_block's drawn rows: sorted by the lockstep loop, or read on
+    # demand, through _OrderStatistics, when the loop never runs
+    Mutant("block-drawn-rows-unsorted", SEARCH, "flat.reshape(rows, size)[:, 1:-1].sort(axis=1)", "pass"),
     Mutant(
-        "block-sorted-rows-on-demand", SEARCH,
-        "on_demand = drawn and len(configs) * searched.size <= SCALAR_FINISH",
-        "on_demand = len(configs) * searched.size <= SCALAR_FINISH",
+        "block-drawn-rows-sorted-up-front", SEARCH,
+        "    j = 0\n    if live_count > SCALAR_FINISH:\n",
+        "    j = 0\n    if drawn:\n        flat.reshape(rows, size)[:, 1:-1].sort(axis=1)\n"
+        "    if live_count > SCALAR_FINISH:\n",
     ),
     Mutant(
-        "block-on-demand-boundary", SEARCH,
-        "on_demand = drawn and len(configs) * searched.size <= SCALAR_FINISH",
-        "on_demand = drawn and len(configs) * searched.size < SCALAR_FINISH",
+        "block-lockstep-at-scalar-finish", SEARCH,
+        "    if live_count > SCALAR_FINISH:", "    if live_count >= SCALAR_FINISH:",
+    ),
+    Mutant(
+        "block-loop-rows-on-demand", SEARCH,
+        "source = _OrderStatistics if drawn and not j else np.asarray",
+        "source = _OrderStatistics if drawn else np.asarray",
     ),
     Mutant("order-statistic-offset", SEARCH, "segment.partition(k - lo - 1)", "segment.partition(k - lo)"),
     Mutant("order-statistic-fallback-unsorted", SEARCH, "self._row.sort()", "pass"),
@@ -188,6 +204,10 @@ MUTANTS = [
     Mutant("worst-depth-leaf-one", ORACLE, "    return j\n", "    return j + 1\n"),
     # distributions and the trial runner
     Mutant("sample-target-closed-lo", DISTRIBUTIONS, "if lo < z < hi:", "if lo <= z < hi:"),
+    Mutant(
+        "sample-target-huge-end-overflows", DISTRIBUTIONS,
+        "    except OverflowError:  # an integer end", "    except ZeroDivisionError:  # an integer end",
+    ),
     Mutant("sample-list-unsorted", DISTRIBUTIONS, "values[1:-1].sort()", "pass"),
     Mutant(
         "fill-stops-at-full", DISTRIBUTIONS,

@@ -44,14 +44,14 @@ Source = Union[DistributionSpec, Dataset, SortedList]
 
 # Distribution trials are drawn into a key block of at most this many bytes
 # (at least one list): 3 lists of 2e5 keys, hundreds of lists up to 1e4 keys.
-# A block of more than SCALAR_FINISH lanes (configs x lists), which
-# search_block sorts and searches in its lockstep loop, may take twice this:
-# the loop's cost is in its numpy calls more than in its lanes, so the
-# 80-config kappa sweep at n = 2e5 runs one loop over 6 lists, not two over 3.
-# In perfbench mc-kappa (6 trials a unit) that took a unit from 13.0 to 11.95
-# ms, and peak RSS from 48.8 to 53.5 MB (+9.5%, the 4.8 MB of three more
-# lists; BENCH_32.json).  A block read on demand keeps its size, so no run
-# moves from one path to the other.
+# A block of more than SCALAR_FINISH lanes (configs x lists) runs
+# search_block's lockstep loop (its docstring says how drawn rows are read)
+# and may take twice this: the loop's cost is in its numpy calls more than in
+# its lanes, so the 80-config kappa sweep at n = 2e5 runs one loop over 6
+# lists, not two over 3.  In perfbench mc-kappa (6 trials a unit) that took a
+# unit from 13.0 to 11.95 ms, and peak RSS from 48.8 to 53.5 MB (+9.5%, the
+# 4.8 MB of three more lists; BENCH_32.json).  A smaller block keeps its
+# size, so no run moves from one path to the other.
 BLOCK_BYTES = 5 << 20
 
 
@@ -97,10 +97,9 @@ def run_trials(
     equal ``search``'s: a fixed list is one row carrying every trial's
     target, and distribution lists are drawn unsorted into blocks of
     ``BLOCK_BYTES``, one row and one target per trial, which
-    ``search_block`` takes as drawn rows (it sorts them or reads them on
-    demand); a block it will sort, of more than ``SCALAR_FINISH`` lanes,
-    holds twice the lists.  Capped runs count at the cap value and increment
-    cap_hits.
+    ``search_block`` takes as drawn rows; a block of more than
+    ``SCALAR_FINISH`` lanes, which runs its lockstep loop, holds twice the
+    lists.  Capped runs count at the cap value and increment cap_hits.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

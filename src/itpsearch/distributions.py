@@ -3,9 +3,9 @@
 Lists are built the same way throughout: endpoints pinned at 0 and 1 with
 n - 1 interior keys drawn i.i.d. from the chosen distribution.  ``fill_list``
 draws a list in draw order; ``sample_list`` sorts it, and ``search_block``
-takes such drawn rows as they are, sorting them or reading their order
-statistics on demand.  Draws that would leave [0, 1] are rejected and
-redrawn (never clamped, which would pile duplicates onto the endpoints).
+takes such drawn rows as they are (its docstring says how it reads them).
+Draws that would leave [0, 1] are rejected and redrawn (never clamped,
+which would pile duplicates onto the endpoints).
 
 Reproducibility contract: the generator is numpy's PCG64.  A master seed
 plus trial index derives an independent child stream via
@@ -36,9 +36,10 @@ __all__ = [
 ]
 
 
-# Values per draw call.  Rejection batches and Step's two passes are drawn
-# this many at a time: numpy's normal, exponential and random take the bit
-# stream draw by draw, so split calls return the same floats as one call.
+# Values per draw call.  Rejection batches and Step's position pass are drawn
+# this many at a time (Step's side pass is one call, as it makes no
+# temporary): numpy's normal, exponential and random take the bit stream
+# draw by draw, so split calls return the same floats as one call.
 # A fill's temporaries then take at most 25 bytes per CHUNK value (a chunk
 # of draws, its keep mask, and compress's int64 index and kept copy), plus
 # Step's n-byte side mask, instead of 21-33 bytes per key: traced at
@@ -134,13 +135,10 @@ class Step:
             raise ValueError(f"left_mass must be in (0, 1), got {self.left_mass}")
 
     def fill(self, out: np.ndarray, rng: np.random.Generator) -> None:
-        """Draw every side (left with probability left_mass), then every
-        position within its side; each pass goes ``CHUNK`` values at a time,
-        with the draws landing in ``out`` and the sides in one bool array."""
-        left = np.empty(out.size, dtype=bool)
-        for start in range(0, out.size, CHUNK):
-            u = rng.random(out=out[start : start + CHUNK])
-            np.less(u, self.left_mass, out=left[start : start + CHUNK])
+        """Draw every side (left with probability left_mass) in one call, its
+        draws landing in ``out`` and the sides in one bool array, then every
+        position within its side ``CHUNK`` values at a time."""
+        left = np.less(rng.random(out=out), self.left_mass)
         for start in range(0, out.size, CHUNK):
             u = rng.random(out=out[start : start + CHUNK])
             side = left[start : start + CHUNK]
@@ -185,10 +183,14 @@ def fill_list(spec: DistributionSpec, values: np.ndarray, rng: np.random.Generat
 def sample_target(lo: float, hi: float, seed) -> float:
     """Uniform draw strictly inside (lo, hi); endpoint hits are redrawn.
 
-    The ends and their distance ``hi - lo`` must be finite, and ValueError
-    is raised when no float lies strictly inside.
+    The ends and their distance ``hi - lo`` must be finite in float64, and
+    ValueError is raised when no float lies strictly inside.
     """
-    if not (lo < hi and hi - lo < math.inf):
+    try:
+        span = float(hi) - float(lo)
+    except OverflowError:  # an integer end beyond float64's range
+        span = math.inf
+    if not 0 < span < math.inf:  # for floats, lo < hi and hi - lo < inf
         raise ValueError(f"need finite lo < hi and hi - lo, got [{lo}, {hi}]")
     if math.nextafter(lo, hi) == hi:
         raise ValueError(f"no float lies strictly inside ({lo}, {hi})")

@@ -16,9 +16,8 @@ both drive it.  Where the minmax radius is 0, projection puts any point on
 the midpoint, so the itp rule returns the midpoint without interpolating.
 ``search_block`` searches lanes of (list, target, config) in lockstep with
 numpy, and ``search_many`` is its one-list, one-config case; its docstring
-says how one array formula gives every rule's probes.  It also takes drawn
-rows, whose interiors are unsorted: it sorts them, or, when its scalar loop
-finishes every lane, reads each row's order statistics on demand.
+says how one array formula gives every rule's probes, and how it reads
+drawn rows, whose interiors are unsorted.
 Endpoint values are cached with the bracket, so a search is charged one
 query per interior probe only.
 """
@@ -125,22 +124,43 @@ class Local:
 Variant = Strict | Relaxed | Local
 
 
+def _float64(values) -> np.ndarray:
+    """``np.asarray(values, dtype=np.float64)``, except that a number beyond
+    float64's range, such as the integer 10**400, becomes the infinity of its
+    sign, as IEEE rounding makes it, where numpy raises OverflowError; the
+    caller then rejects it with its own ValueError."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        objects = np.asarray(values, dtype=object)
+        return np.array([_float_or_inf(x) for x in objects.flat]).reshape(objects.shape)
+
+
+def _float_or_inf(x) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 class SortedList:
     """A non-decreasing vector of finite keys, length n + 1, indexed 0..n.
 
     Every list is checked, by one ordered pass and a test of its two ends: a
     NaN fails every comparison, and an ordered list holds its infinities and
     its largest magnitude at its ends.  NaN, infinities, decreasing keys and
-    integer keys that float64 cannot hold exactly (such as 2**53 + 1) raise
-    ValueError, and so do keys whose largest magnitude, times n, reaches
-    2**1020: below that bound no interpolation line between two keys
-    overflows float64.
+    integer keys that float64 cannot hold exactly (such as 2**53 + 1, or
+    10**400, which counts as an infinity) raise ValueError, and so do keys
+    whose largest magnitude, times n, reaches 2**1020: below that bound no
+    interpolation line between two keys overflows float64.  ``values`` is a
+    read-only view, so a checked list stays checked (the array passed in
+    stays writable).
     """
 
     __slots__ = ("values", "n")
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = _float64(values)
         if arr.ndim != 1:
             raise ValueError("values must be one-dimensional")
         if arr.size < 2:
@@ -160,7 +180,8 @@ class SortedList:
             for key, cast in zip(keys, arr[big].tolist()):
                 if isinstance(key, (int, np.integer)) and int(key) != int(cast):
                     raise ValueError(f"integer key {int(key)} is not exact in float64")
-        self.values = arr
+        self.values = arr.view()
+        self.values.flags.writeable = False
         self.n = arr.size - 1
 
     def __len__(self) -> int:
@@ -476,8 +497,7 @@ def search(lst: SortedList, z: float, config: SearchConfig) -> SearchOutcome:
 
 
 # search_block's lockstep loop stops once this few lanes are open, and the
-# scalar loop finishes them; a block of no more lanes never enters the loop,
-# and its drawn rows are read on demand, not sorted.
+# scalar loop finishes them; a block of no more lanes never enters the loop.
 # With 48 lanes on 2e5 uniform keys, one lockstep iteration costs 47-81 us for
 # binary, 56-102 us for interpolation and 65-104 us for ITP, the call's set-up
 # shared in, against 0.4-0.8 us a scalar probe for binary, 1.2-2.3 us for
@@ -512,7 +532,7 @@ def search_many(lst: SortedList, zs, config: SearchConfig):
     the first target outside the key range.  It is ``search_block`` with one
     row, the checked keys of ``lst``, and one config.
     """
-    zs = np.asarray(zs, dtype=np.float64)
+    zs = _float64(zs)
     if zs.ndim != 1:
         raise ValueError("targets must be one-dimensional")
     k_star, queries, capped = search_block(lst.values[np.newaxis], zs[np.newaxis], [config])
@@ -535,12 +555,13 @@ def search_block(block, zs, configs: Sequence[SearchConfig], *, drawn: bool = Fa
     With ``drawn=True`` the rows are drawn, not sorted: each row's two ends
     hold its smallest and largest keys and its interior may be in any order,
     and the outcomes are those of the sorted rows.  The rows may be reordered
-    in place.  When the scalar loop would finish every lane (no more than
-    ``SCALAR_FINISH`` lanes searched), each row is read through one
+    in place.  The lockstep loop, which gathers keys by index, sorts the
+    interiors before it starts; lanes that never enter it (no more than
+    ``SCALAR_FINISH`` lanes searched) read each row through one
     ``_OrderStatistics``, shared by its lanes, which partitions only what the
-    searches read; otherwise the interiors are sorted in place first.  Rows
-    that are already sorted, such as a ``SortedList``'s, need the default,
-    which never reorders them.
+    searches read, and a row that no lane reads stays as drawn.  Rows that
+    are already sorted need the default, which never reorders them; a
+    ``SortedList``'s read-only keys refuse ``drawn=True``.
 
     Each config gives its lanes one row (kappa1, kappa2, n_ref): an ITP
     config its kappas and radius anchor ``variant.n_ref(n)`` (NaN for
@@ -572,7 +593,7 @@ def search_block(block, zs, configs: Sequence[SearchConfig], *, drawn: bool = Fa
     has the figures).
     """
     block = np.asarray(block, dtype=np.float64)
-    zs = np.asarray(zs, dtype=np.float64)
+    zs = _float64(zs)
     if block.ndim != 2 or block.shape[1] < 2:
         raise ValueError("keys must be a 2-D block of rows of at least 2 values")
     rows, size = block.shape
@@ -595,10 +616,6 @@ def search_block(block, zs, configs: Sequence[SearchConfig], *, drawn: bool = Fa
         return k_star, queries, capped
 
     searched = np.flatnonzero(zs != v0)  # z == values[0] costs no query
-    # drawn rows stay unsorted when the scalar loop finishes every lane
-    on_demand = drawn and len(configs) * searched.size <= SCALAR_FINISH
-    if drawn and not on_demand:
-        block[:, 1:-1].sort(axis=1)
     # Lane i searches z[i] with configs[c[i]] on the keys flat[base[i] :
     # base[i] + n + 1] and writes its outcome at index lane[i] of the flattened
     # outputs, which is its (config, row, target).  The brackets a and b are
@@ -616,6 +633,8 @@ def search_block(block, zs, configs: Sequence[SearchConfig], *, drawn: bool = Fa
     live_count = lane.size
     j = 0
     if live_count > SCALAR_FINISH:
+        if drawn:  # the loop gathers keys by index, so it reads sorted interiors
+            flat.reshape(rows, size)[:, 1:-1].sort(axis=1)
         # each config's row (kappa1, kappa2, n_ref); Local's None becomes NaN
         kappa1s, kappa2s, anchors = np.array([
             (0.0, 0.0, -math.inf) if config.strategy is Strategy.BINARY
@@ -684,8 +703,9 @@ def search_block(block, zs, configs: Sequence[SearchConfig], *, drawn: bool = Fa
                     a, b, va, vb, delta = a[live], b[live], va[live], vb[live], delta[live]
                     live = live[live]
     probes = {ci: make_probe_fn(configs[ci], n) for ci in set(c.tolist())}
-    # each row's keys, shared by its lanes: read on demand, or the row itself
-    source = _OrderStatistics if on_demand else np.asarray
+    # each row's keys, shared by its lanes: a drawn row that the loop never
+    # sorted is read on demand, any other row as it is
+    source = _OrderStatistics if drawn and not j else np.asarray
     rows_at = {start: source(flat[start : start + size]) for start in set(base.tolist())}
     lanes = zip(
         lane.tolist(), c.tolist(), base.tolist(), z.tolist(), q.tolist(),

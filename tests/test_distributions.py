@@ -114,6 +114,31 @@ def test_default_chunk_fill_equals_whole_batch_fill(spec):
     assert _fill_bits(spec, n, 3, distributions.CHUNK) == _fill_bits(spec, n, 3, WHOLE)
 
 
+def _chunked_step_fill(self, out, rng):
+    """Step.fill as it was when its side pass, too, went CHUNK values at a time."""
+    chunk = distributions.CHUNK
+    left = np.empty(out.size, dtype=bool)
+    for start in range(0, out.size, chunk):
+        u = rng.random(out=out[start : start + chunk])
+        np.less(u, self.left_mass, out=left[start : start + chunk])
+    for start in range(0, out.size, chunk):
+        u = rng.random(out=out[start : start + chunk])
+        side = left[start : start + chunk]
+        u[:] = np.where(side, self.split * u, self.split + (1.0 - self.split) * u)
+
+
+@pytest.mark.parametrize("spec", (Step(), Step(0.1, 0.9)), ids=str)
+@pytest.mark.parametrize(
+    "interior", (1, distributions.CHUNK - 1, distributions.CHUNK, distributions.CHUNK + 1, 200_000)
+)
+def test_step_side_pass_equals_chunked_side_pass(spec, interior):
+    # one draw call for every side gives the sides, the positions and the
+    # stream position of the chunked side pass, on both sides of a chunk edge
+    with mock.patch.object(Step, "fill", _chunked_step_fill):
+        reference = _fill_bits(spec, interior + 1, 3, distributions.CHUNK)
+    assert _fill_bits(spec, interior + 1, 3, distributions.CHUNK) == reference
+
+
 def _mask_filter_fill_accepted(out, draw, keep):
     """The rejection fill as it was before compaction used compress: every
     chunk, all kept or not, filtered by boolean-mask indexing."""
@@ -251,7 +276,9 @@ def test_sample_target_validation():
         sample_target(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         sample_target(2.0, 1.0, 0)
-    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+    # integer ends that round to one float64 leave nothing to draw: the loop
+    # would never stop
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (2**60, 2**60 + 1)):
         with pytest.raises(ValueError, match="need finite lo < hi"):
             sample_target(lo, hi, 0)
 
@@ -266,8 +293,14 @@ def test_sample_target_needs_a_float_inside():
 
 
 def test_sample_target_overflowing_span():
-    # hi - lo is inf: every draw would be inf or NaN, so the loop could never stop
-    for lo, hi in ((-1.7e308, 1.7e308), (-1.7e308, math.nextafter(math.inf, 0))):
+    # hi - lo is inf: every draw would be inf or NaN, so the loop could never stop;
+    # an integer end beyond float64's range counts as an infinity
+    for lo, hi in (
+        (-1.7e308, 1.7e308),
+        (-1.7e308, math.nextafter(math.inf, 0)),
+        (0, 10**400),
+        (-(10**400), 0),
+    ):
         with pytest.raises(ValueError, match="need finite lo < hi"):
             sample_target(lo, hi, 0)
 

@@ -237,6 +237,35 @@ def test_sorted_list_validation():
     assert len(lst) == 4
     assert lst[2] == 1.0
     assert repr(lst) == "SortedList(n=3, range=[0.0, 2.0])"
+    # an integer beyond float64's range counts as an infinity
+    for bad in ([0, 10**400], [-(10**400), 0]):
+        with pytest.raises(ValueError, match="finite"):
+            SortedList(bad)
+
+
+def test_sorted_list_values_are_read_only():
+    # writing a key out of order would leave a checked list unsorted, and
+    # search would answer from it without a word
+    keys = np.array([0.0, 0.5, 1.0])
+    lst = SortedList(keys)
+    with pytest.raises(ValueError, match="read-only"):
+        lst.values[1] = 7.0
+    assert keys.flags.writeable, "the array passed in stays writable"
+    assert search(lst, 0.9, SearchConfig.binary()).k_star == 1
+
+
+def test_huge_integer_targets_are_outside_the_key_range():
+    # float64 cannot hold them, so they compare as infinities; search compares
+    # the integer itself
+    lst = SortedList([0.0, 0.5, 1.0])
+    config = SearchConfig.binary()
+    for z, shown in ((10**400, "inf"), (-(10**400), "-inf")):
+        with pytest.raises(ValueError, match="outside key range"):
+            search(lst, z, config)
+        with pytest.raises(ValueError, match=f"^target {shown} outside key range"):
+            search_many(lst, [0.5, z], config)
+        with pytest.raises(ValueError, match=f"^target {shown} outside key range"):
+            search_block(lst.values[np.newaxis], [[0.5, z]], [config])
 
 
 @given(
@@ -496,6 +525,33 @@ def test_drawn_rows_read_on_demand_up_to_scalar_finish(rows, config_count, made)
         got = search_block(block, zs, configs, drawn=True)
     assert source.call_count == made
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("rows, config_count, lockstep", [(12, 4, False), (7, 7, True)])
+def test_only_the_lockstep_loop_sorts_drawn_rows(rows, config_count, lockstep):
+    # one row more, whose target is its smallest key: it costs no query and
+    # opens no lane.  48 lanes read only what they search, so that row comes
+    # back as drawn; 49 lanes enter the lockstep loop, which sorts every row
+    assert search_module.SCALAR_FINISH == 48
+    rng = np.random.default_rng(rows)
+    block = np.hstack((np.zeros((rows + 1, 1)), rng.random((rows + 1, 999)), np.ones((rows + 1, 1))))
+    zs = np.vstack((rng.random((rows, 1)), [[0.0]]))
+    configs = [SearchConfig.itp(Strict(), kappa1=0.1 * (i + 1)) for i in range(config_count)]
+    drawn = block.copy()
+    search_block(block, zs, configs, drawn=True)
+    if lockstep:
+        assert (np.diff(block[:, 1:-1], axis=1) >= 0).all()
+    else:
+        assert np.array_equal(block[-1], drawn[-1]), "the unread row comes back as drawn"
+
+
+@pytest.mark.parametrize("config_count", [48, 49])
+def test_drawn_search_cannot_reorder_a_sorted_list(config_count):
+    # a SortedList's read-only keys refuse both the sort and the partitions
+    lst = sample_list(Uniform(), 1000, seed=1)
+    configs = [SearchConfig.itp(Strict(), kappa1=0.1 * (i + 1)) for i in range(config_count)]
+    with pytest.raises(ValueError, match="read-only"):
+        search_block(lst.values[np.newaxis], [[0.5]], configs, drawn=True)
 
 
 # ---------------------------------------------------------------------------
